@@ -202,7 +202,7 @@ def _add_mcmc_flags(p, *, iters, burnin, thin):
     p.add_argument("--iters", type=int, default=iters, help="total iterations per chain")
     p.add_argument("--burnin", type=int, default=burnin, help="discarded initial iterations")
     p.add_argument("--thin", type=int, default=thin, help="keep every thin-th draw")
-    p.add_argument("--chains", type=int, default=2, help="number of parallel chains")
+    p.add_argument("--chains", type=int, default=2, help="number of chains, run one after another")
     p.add_argument("--tuning", type=float, default=1.0, help="shape proposal SD")
     p.add_argument("--seed", type=int, default=0, help="master seed")
     p.add_argument(

@@ -4,7 +4,9 @@ The chain state is (alpha, beta, lambda_1..lambda_n).  Each iteration
 updates, in this order:
 
 1. ``lambda_i | alpha, beta  ~  Gamma(alpha + 1, rate 1 + x_i/beta)``,
-   independently across observations;
+   independently across observations, drawn as
+   ``standard_gamma(alpha + 1) * 1/(1 + x_i/beta)`` into buffers that a
+   chain allocates once;
 2. ``beta | lambda  ~  InverseGamma(n, sum(lambda_i x_i))``, drawn as
    scale over a unit-rate gamma variate;
 3. ``alpha | lambda`` by one random-walk Metropolis-Hastings step with a
@@ -14,6 +16,13 @@ updates, in this order:
 
 Chains are reproducible: chain i seeds its own generator with
 ``seed XOR (i+1)``, so results do not depend on execution order.
+
+The latent draw equals ``rng.gamma(alpha + 1, 1/rate)`` bit for bit and
+leaves the generator in the same state: numpy's ``Generator.gamma(shape,
+scale)`` computes ``scale * standard_gamma(shape)`` element by element from
+the same stream, and the scale ``1/(1 + x_i/beta)`` is computed with the
+same operations in the same order.  So an iteration allocates no length-n
+array without changing any draw.
 """
 
 from __future__ import annotations
@@ -180,10 +189,31 @@ class ChainSet:
         return np.mean([c.lambda_means for c in self.chains], axis=0)
 
 
-def sample_lambda(state: AugmentedState, d: Dataset, rng: np.random.Generator) -> np.ndarray:
-    """One Gibbs draw of all latents: lambda_i ~ Gamma(alpha+1, 1 + x_i/beta)."""
-    rate = 1.0 + d.x / state.beta
-    return rng.gamma(state.alpha + 1.0, 1.0 / rate)
+def sample_lambda(
+    state: AugmentedState,
+    d: Dataset,
+    rng: np.random.Generator,
+    out: np.ndarray | None = None,
+    work: np.ndarray | None = None,
+) -> np.ndarray:
+    """One Gibbs draw of all latents: lambda_i ~ Gamma(alpha+1, 1 + x_i/beta).
+
+    Drawn as ``standard_gamma(alpha+1) * 1/(1 + x_i/beta)``.  The scale
+    goes into ``work`` and the draw into ``out``, which is returned; both
+    are length-n float arrays and are allocated when not given.  The bits
+    equal ``rng.gamma(alpha+1, 1/(1 + x/beta))``, which numpy computes as
+    the same product, and the generator ends in the same state.
+    """
+    if out is None:
+        out = np.empty(d.n)
+    if work is None:
+        work = np.empty(d.n)
+    np.divide(d.x, state.beta, out=work)
+    work += 1.0
+    np.divide(1.0, work, out=work)
+    rng.standard_gamma(state.alpha + 1.0, out=out)
+    out *= work
+    return out
 
 
 def sample_beta(state: AugmentedState, d: Dataset, rng: np.random.Generator) -> float:
@@ -276,6 +306,9 @@ def run_chain(d: Dataset, kind: PriorKind, cfg: McmcConfig, chain_index: int = 0
     alpha0 = cfg.init_alpha if cfg.init_alpha is not None else float(rng.gamma(1.0))
     beta0 = cfg.init_beta if cfg.init_beta is not None else float(rng.gamma(1.0))
     state = AugmentedState(alpha=alpha0, beta=beta0, lam=np.ones(d.n))
+    # the latents and a scratch vector live in these two buffers for the
+    # whole chain; retained draws are copied out of them
+    lam, work = state.lam, np.empty(d.n)
 
     retained = cfg.retained
     alpha_out = np.empty(retained)
@@ -287,17 +320,17 @@ def run_chain(d: Dataset, kind: PriorKind, cfg: McmcConfig, chain_index: int = 0
 
     n, burn_in, thin, tuning = d.n, cfg.burn_in, cfg.thin, cfg.tuning
     for it in range(cfg.iterations):
-        state.lam = sample_lambda(state, d, rng)
+        sample_lambda(state, d, rng, out=lam, work=work)
         state.beta = sample_beta(state, d, rng)
-        sum_log_lam = float(np.log(state.lam).sum())
+        sum_log_lam = float(np.log(lam, out=work).sum())
         state.alpha, acc = _mh_step_alpha(state.alpha, kind, n, sum_log_lam, tuning, rng)
         accepted += acc
         if it >= burn_in and (it - burn_in + 1) % thin == 0:
             alpha_out[k] = state.alpha
             beta_out[k] = state.beta
-            lam_sum += state.lam
+            lam_sum += lam
             if lam_trace is not None:
-                lam_trace[k] = state.lam
+                lam_trace[k] = lam
             k += 1
 
     assert k == retained

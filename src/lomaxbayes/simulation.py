@@ -23,7 +23,7 @@ import numpy as np
 from .diagnostics import SummaryStats, acceptance_rate, gelman_rubin, summarize
 from .distribution import Dataset, LomaxParams, sample
 from .priors import PriorKind, check_propriety
-from .sampler import McmcConfig, run_chains
+from .sampler import _SEED_MASK, McmcConfig, run_chains
 
 __all__ = [
     "StudyConfig",
@@ -38,8 +38,6 @@ __all__ = [
 CSV_COLUMNS = (
     "prior,n,parameter,mean,sd,ci_low,ci_high,bias,rmse,accept_rate,psrf"
 )
-
-_SEED_MASK = (1 << 64) - 1
 
 
 @dataclass(frozen=True)

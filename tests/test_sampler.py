@@ -23,7 +23,8 @@ from lomaxbayes import (
     sample_beta,
     sample_lambda,
 )
-from lomaxbayes.sampler import _truncation_log_correction
+from lomaxbayes import sampler
+from lomaxbayes.sampler import _mh_step_alpha, _truncation_log_correction
 
 N_DRAWS = 100_000
 
@@ -98,6 +99,18 @@ class TestSampleLambda:
         _assert_moments_within_3se(
             draws, mean=shape / rate, var=shape / rate**2, excess_kurtosis=6.0 / shape
         )
+
+    def test_buffers_are_filled_and_returned(self):
+        d = _data(40)
+        state = AugmentedState(alpha=1.3, beta=0.8, lam=np.ones(40))
+        fresh = sample_lambda(state, d, np.random.default_rng(7))
+        out, work = np.empty(40), np.empty(40)
+        got = sample_lambda(state, d, np.random.default_rng(7), out=out, work=work)
+        assert got is out
+        np.testing.assert_array_equal(work, 1.0 / (1.0 + d.x / 0.8))
+        assert fresh.tobytes() == out.tobytes()
+        # without buffers every call returns a new array, never the state's
+        assert not np.shares_memory(fresh, state.lam)
 
     def test_trivial_conditional_moments(self):
         # alpha=1, beta=1, x=1: Gamma(2, 2) has mean 1 and variance 0.5
@@ -299,6 +312,82 @@ class TestRunChains:
             np.testing.assert_array_equal(cs.alpha, ct.alpha)
             np.testing.assert_array_equal(cs.beta, ct.beta)
             np.testing.assert_array_equal(cs.lambda_means, ct.lambda_means)
+
+
+def _allocating_chain(d, kind, cfg, chain_index=0):
+    """The Gibbs loop in its allocating form: fresh arrays every iteration."""
+    rng = np.random.default_rng((cfg.seed ^ (chain_index + 1)) & ((1 << 64) - 1))
+    alpha = cfg.init_alpha if cfg.init_alpha is not None else float(rng.gamma(1.0))
+    beta = cfg.init_beta if cfg.init_beta is not None else float(rng.gamma(1.0))
+    alphas, betas, lams = [], [], []
+    accepted = 0
+    for it in range(cfg.iterations):
+        lam = rng.gamma(alpha + 1.0, 1.0 / (1.0 + d.x / beta))
+        beta = float(lam @ d.x) / float(rng.gamma(d.n))
+        sum_log_lam = float(np.log(lam).sum())
+        alpha, acc = _mh_step_alpha(alpha, kind, d.n, sum_log_lam, cfg.tuning, rng)
+        accepted += acc
+        if it >= cfg.burn_in and (it - cfg.burn_in + 1) % cfg.thin == 0:
+            alphas.append(alpha)
+            betas.append(beta)
+            lams.append(lam)
+    lam_sum = np.zeros(d.n)
+    for lam in lams:
+        lam_sum += lam
+    return np.array(alphas), np.array(betas), lam_sum / len(lams), np.array(lams), accepted
+
+
+# the 1/(alpha beta) density needs n >= 2, so n = 1 runs only under dependent Jeffreys
+_IDENTITY_CASES = [
+    (kind, n)
+    for kind in (PriorKind.REFERENCE, PriorKind.JEFFREYS_DEPENDENT)
+    for n in (1, 50, 500)
+    if n >= 2 or kind is PriorKind.JEFFREYS_DEPENDENT
+]
+
+
+class TestBufferedKernelIdentity:
+    """run_chain's in-place kernel gives the allocating loop's bits exactly."""
+
+    @pytest.mark.parametrize("store", [False, True])
+    @pytest.mark.parametrize("init", [None, (2.5, 0.7)])
+    @pytest.mark.parametrize("kind,n", _IDENTITY_CASES)
+    def test_matches_allocating_loop_bitwise(self, kind, n, init, store):
+        d = _data(n, seed=n)
+        cfg = McmcConfig(iterations=600, burn_in=100, thin=5, seed=2718,
+                         init_alpha=init and init[0], init_beta=init and init[1],
+                         store_lambda_traces=store)
+        c = run_chain(d, kind, cfg, chain_index=1)
+        alpha, beta, lam_means, lam_draws, accepted = _allocating_chain(d, kind, cfg, 1)
+        assert 0 < accepted < cfg.iterations
+        assert c.accepted == accepted
+        assert c.alpha.tobytes() == alpha.tobytes()
+        assert c.beta.tobytes() == beta.tobytes()
+        assert c.lambda_means.tobytes() == lam_means.tobytes()
+        if store:
+            assert c.lambda_draws.tobytes() == lam_draws.tobytes()
+        else:
+            assert c.lambda_draws is None
+
+    def test_retained_draws_do_not_alias_the_buffer(self, monkeypatch):
+        buffers = []
+        orig = sampler.sample_lambda
+
+        def spy(state, d, rng, out=None, work=None):
+            buffers.append((out, work))
+            return orig(state, d, rng, out=out, work=work)
+
+        monkeypatch.setattr(sampler, "sample_lambda", spy)
+        d = _data(8)
+        cfg = McmcConfig(iterations=60, burn_in=10, thin=5, seed=4, store_lambda_traces=True)
+        c = run_chain(d, PriorKind.REFERENCE, cfg)
+        # one pair of buffers for the whole chain
+        assert len(buffers) == 60
+        assert all(b[0] is buffers[0][0] and b[1] is buffers[0][1] for b in buffers)
+        for buf in buffers[0]:
+            assert not np.shares_memory(c.lambda_draws, buf)
+            assert not np.shares_memory(c.lambda_means, buf)
+        assert len({row.tobytes() for row in c.lambda_draws}) == c.lambda_draws.shape[0]
 
 
 class TestMixingBehavior:
