@@ -31,7 +31,7 @@ print(f"simulated n={data.n} from (beta={truth.beta}, alpha={truth.alpha}), "
       f"last value planted at {data.x[-1]:.1f}")
 
 cfg = McmcConfig(iterations=11000, burn_in=1000, thin=10, chains=2, seed=7)
-chains = run_chains(data, PriorKind.REFERENCE, cfg, parallel=True)
+chains = run_chains(data, PriorKind.REFERENCE, cfg)
 
 print(f"\n{cfg.chains} chains x {cfg.retained} retained draws "
       f"(iterations={cfg.iterations}, burn-in={cfg.burn_in}, thin={cfg.thin})")

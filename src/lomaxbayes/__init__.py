@@ -2,7 +2,9 @@
 
 Closed-form distribution functions, Jeffreys/reference priors, a
 data-augmented Metropolis-Hastings-within-Gibbs sampler, convergence
-diagnostics, and a Monte Carlo bias/rmse study harness.
+diagnostics, and a Monte Carlo bias/rmse study harness.  The single
+Gibbs steps (``sample_lambda``, ``sample_beta``, ``mh_step_alpha``,
+``run_chain``) are importable from :mod:`lomaxbayes.sampler`.
 """
 
 from .diagnostics import (
@@ -38,17 +40,11 @@ from .priors import (
     min_sample_size,
 )
 from .sampler import (
-    AugmentedState,
     Chain,
     ChainSet,
     DegenerateDataError,
     McmcConfig,
-    log_alpha_conditional,
-    mh_step_alpha,
-    run_chain,
     run_chains,
-    sample_beta,
-    sample_lambda,
 )
 from .simulation import (
     CellStats,
@@ -64,7 +60,6 @@ from .simulation import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AugmentedState",
     "CellStats",
     "Chain",
     "ChainSet",
@@ -88,24 +83,19 @@ __all__ = [
     "fit_replicate",
     "gelman_rubin",
     "hazard",
-    "log_alpha_conditional",
     "log_likelihood",
     "log_pdf",
     "log_posterior",
     "log_prior",
     "mean",
     "median",
-    "mh_step_alpha",
     "min_sample_size",
     "outlier_scores",
     "rmse",
-    "run_chain",
     "run_chains",
     "run_study",
     "sample",
-    "sample_beta",
     "sample_hierarchical",
-    "sample_lambda",
     "summarize",
     "survival",
     "variance",

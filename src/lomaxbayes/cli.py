@@ -18,15 +18,16 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
-from .diagnostics import acceptance_rate, gelman_rubin, outlier_scores, summarize
+from .diagnostics import outlier_scores
 from .distribution import Dataset, LomaxParams
 from .priors import ImproperPosteriorError, PriorKind
-from .sampler import ChainSet, DegenerateDataError, McmcConfig, run_chains
-from .simulation import StudyConfig, run_study
+from .sampler import _THREADS_MIN_N, ChainSet, DegenerateDataError, McmcConfig, run_chains
+from .simulation import ReplicateFit, StudyConfig, run_study, summarize_chains
 
 __all__ = ["DataFormatError", "parse_dataset", "cmd_fit", "cmd_simulate", "main"]
 
@@ -89,26 +90,16 @@ def _sig6(value: float):
     return float(f"{value:.6g}")
 
 
-def _summary_payload(kind: PriorKind, d: Dataset, chains: ChainSet, seed: int) -> dict:
-    multi = len(chains) >= 2
+def _summary_payload(kind: PriorKind, d: Dataset, fit: ReplicateFit, seed: int) -> dict:
     payload = {
         "prior": kind.value,
         "n": d.n,
         "seed": seed,
-        "acceptance_rate": _sig6(float(np.mean([acceptance_rate(c) for c in chains]))),
-        "psrf": {
-            "alpha": _sig6(gelman_rubin(chains, "alpha")) if multi else None,
-            "beta": _sig6(gelman_rubin(chains, "beta")) if multi else None,
-        },
+        "acceptance_rate": _sig6(fit.accept_rate),
+        "psrf": {"alpha": _sig6(fit.psrf_alpha), "beta": _sig6(fit.psrf_beta)},
     }
     for param in ("beta", "alpha"):
-        stats = summarize(chains.pooled(param))
-        payload[param] = {
-            "mean": _sig6(stats.mean),
-            "sd": _sig6(stats.sd),
-            "ci_low": _sig6(stats.ci_low),
-            "ci_high": _sig6(stats.ci_high),
-        }
+        payload[param] = {k: _sig6(v) for k, v in asdict(getattr(fit, param)).items()}
     return payload
 
 
@@ -148,7 +139,7 @@ def cmd_fit(args) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    summary = _summary_payload(kind, d, chains, cfg.seed)
+    summary = _summary_payload(kind, d, summarize_chains(chains), cfg.seed)
     with open(out / "summary.json", "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2)
         fh.write("\n")
@@ -168,11 +159,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    kinds = (
-        (PriorKind(args.prior),)
-        if args.prior
-        else (PriorKind.JEFFREYS_DEPENDENT, PriorKind.REFERENCE)
-    )
+    kinds = (PriorKind(args.prior),) if args.prior else StudyConfig.priors
     study = StudyConfig(
         true_params=LomaxParams(beta=args.beta, alpha=args.alpha),
         sample_sizes=tuple(args.sizes),
@@ -198,13 +185,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _add_mcmc_flags(p, *, iters, burnin, thin):
-    p.add_argument("--iters", type=int, default=iters, help="total iterations per chain")
-    p.add_argument("--burnin", type=int, default=burnin, help="discarded initial iterations")
-    p.add_argument("--thin", type=int, default=thin, help="keep every thin-th draw")
-    p.add_argument("--chains", type=int, default=2, help="number of chains, run one after another")
-    p.add_argument("--tuning", type=float, default=1.0, help="shape proposal SD")
-    p.add_argument("--seed", type=int, default=0, help="master seed")
+def _add_mcmc_flags(p, defaults: McmcConfig):
+    p.add_argument("--iters", type=int, default=defaults.iterations, help="total iterations per chain")
+    p.add_argument("--burnin", type=int, default=defaults.burn_in, help="discarded initial iterations")
+    p.add_argument("--thin", type=int, default=defaults.thin, help="keep every thin-th draw")
+    p.add_argument(
+        "--chains", type=int, default=defaults.chains,
+        help=f"number of chains; run on threads when n >= {_THREADS_MIN_N} "
+        "and more than one CPU is usable, else one after another",
+    )
+    p.add_argument("--tuning", type=float, default=defaults.tuning, help="shape proposal SD")
+    p.add_argument("--seed", type=int, default=defaults.seed, help="master seed")
     p.add_argument(
         "--out",
         default=os.environ.get(OUTDIR_ENV, "."),
@@ -222,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     fit = sub.add_parser("fit", parents=[], help="fit a dataset from a file")
     fit.add_argument("data", help="dataset file: one value per line (or 1-column CSV)")
     fit.add_argument("--prior", choices=PRIOR_CHOICES, default="reference")
-    _add_mcmc_flags(fit, iters=80000, burnin=20000, thin=20)
+    _add_mcmc_flags(fit, McmcConfig(iterations=80000, burn_in=20000, thin=20))
     fit.set_defaults(func=cmd_fit)
 
     sim = sub.add_parser("simulate", help="run a Monte Carlo bias/rmse study")
@@ -230,18 +221,20 @@ def build_parser() -> argparse.ArgumentParser:
         "--prior",
         choices=PRIOR_CHOICES,
         default=None,
-        help="restrict to one prior (default: jeffreys and reference)",
+        help=f"restrict to one prior (default: {', '.join(k.value for k in StudyConfig.priors)})",
     )
-    sim.add_argument("--replications", type=int, default=500, help="datasets per cell")
     sim.add_argument(
-        "--sizes", type=int, nargs="+", default=[50, 100, 150, 200, 300, 500],
+        "--replications", type=int, default=StudyConfig.replications, help="datasets per cell"
+    )
+    sim.add_argument(
+        "--sizes", type=int, nargs="+", default=list(StudyConfig.sample_sizes),
         help="sample sizes",
     )
     sim.add_argument("--beta", type=float, default=2.0, help="true scale")
     sim.add_argument("--alpha", type=float, default=1.5, help="true shape")
     sim.add_argument("--jobs", type=int, default=1, help="worker processes")
     sim.add_argument("--quiet", action="store_true", help="suppress progress lines")
-    _add_mcmc_flags(sim, iters=11000, burnin=1000, thin=10)
+    _add_mcmc_flags(sim, StudyConfig.mcmc)
     sim.set_defaults(func=cmd_simulate)
 
     return parser

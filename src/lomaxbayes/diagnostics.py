@@ -51,7 +51,8 @@ def gelman_rubin(chains, param: str | None = None) -> float:
     the variance of the chain means (divisor M-1).  ``chains`` is either
     a :class:`ChainSet` (then ``param`` picks "alpha" or "beta") or a
     sequence of equal-length draw vectors.  Values below 1 are possible
-    and reported as-is.
+    and reported as-is.  When every chain is constant (W = 0) the result
+    is NaN if the chain means agree too (B = 0) and +inf if they differ.
     """
     if isinstance(chains, ChainSet):
         if param is None:
@@ -69,6 +70,8 @@ def gelman_rubin(chains, param: str | None = None) -> float:
         raise ValueError("need at least 2 draws per chain")
     w = float(mat.var(axis=1, ddof=1).mean())
     b = length * float(mat.mean(axis=1).var(ddof=1))
+    if w == 0.0:
+        return math.inf if b > 0.0 else math.nan
     return math.sqrt(((length - 1) / length * w + b / length) / w)
 
 

@@ -28,6 +28,7 @@ __all__ = [
     "fisher_information",
     "fisher_inverse",
     "log_prior",
+    "log_prior_alpha",
     "log_likelihood",
     "log_posterior",
     "min_sample_size",
@@ -101,17 +102,19 @@ def fisher_inverse(p: LomaxParams, n: int = 1) -> FisherMatrix:
     )
 
 
+def log_prior_alpha(kind: PriorKind, a: float) -> float:
+    """The shape factor of the log prior; every prior's scale factor is -log(beta).
+
+    Independent Jeffreys and reference share the one density 1/(alpha beta).
+    """
+    if kind is PriorKind.JEFFREYS_DEPENDENT:
+        return -math.log(a + 1.0) - 0.5 * math.log(a) - 0.5 * math.log(a + 2.0)
+    return -math.log(a)
+
+
 def log_prior(kind: PriorKind, p: LomaxParams) -> float:
     """Unnormalized log prior density, additive constant fixed at 0."""
-    b, a = p.beta, p.alpha
-    if kind is PriorKind.JEFFREYS_DEPENDENT:
-        return (
-            -math.log(b)
-            - math.log(a + 1.0)
-            - 0.5 * math.log(a)
-            - 0.5 * math.log(a + 2.0)
-        )
-    return -math.log(a) - math.log(b)
+    return -math.log(p.beta) + log_prior_alpha(kind, p.alpha)
 
 
 def min_sample_size(kind: PriorKind) -> int:

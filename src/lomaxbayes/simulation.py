@@ -16,14 +16,16 @@ from __future__ import annotations
 
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
 from .diagnostics import SummaryStats, acceptance_rate, gelman_rubin, summarize
 from .distribution import Dataset, LomaxParams, sample
 from .priors import PriorKind, check_propriety
-from .sampler import _SEED_MASK, McmcConfig, run_chains
+from .sampler import _SEED_MASK, ChainSet, McmcConfig, run_chains
 
 __all__ = [
     "StudyConfig",
@@ -32,7 +34,9 @@ __all__ = [
     "SimReport",
     "bias",
     "rmse",
+    "fit_replicate",
     "run_study",
+    "summarize_chains",
 ]
 
 CSV_COLUMNS = (
@@ -116,28 +120,12 @@ class SimReport:
     def _write_csv(self, fh) -> None:
         fh.write(CSV_COLUMNS + "\n")
         for r in self.rows:
-            fields = [r.prior.value, str(r.n), r.parameter] + [
-                repr(v)
-                for v in (
-                    r.mean, r.sd, r.ci_low, r.ci_high,
-                    r.bias, r.rmse, r.accept_rate, r.psrf,
-                )
-            ]
-            fh.write(",".join(fields) + "\n")
+            fh.write(",".join(_row(r, repr)) + "\n")
 
     def table(self) -> str:
         """Aligned text table of all rows."""
         headers = CSV_COLUMNS.split(",")
-        body = [
-            [r.prior.value, str(r.n), r.parameter] + [
-                f"{v:.4f}"
-                for v in (
-                    r.mean, r.sd, r.ci_low, r.ci_high,
-                    r.bias, r.rmse, r.accept_rate, r.psrf,
-                )
-            ]
-            for r in self.rows
-        ]
+        body = [_row(r, "{:.4f}".format) for r in self.rows]
         widths = [max(len(h), *(len(row[i]) for row in body)) if body else len(h)
                   for i, h in enumerate(headers)]
         lines = [
@@ -146,6 +134,13 @@ class SimReport:
         ]
         lines += ["  ".join(f.rjust(w) for f, w in zip(row, widths)) for row in body]
         return "\n".join(lines)
+
+
+def _row(r: CellStats, fmt) -> list[str]:
+    """A row's fields in CSV_COLUMNS order: the labels as text, the numbers through ``fmt``."""
+    return [r.prior.value, str(r.n), r.parameter] + [
+        fmt(getattr(r, column)) for column in CSV_COLUMNS.split(",")[3:]
+    ]
 
 
 def bias(estimates, truth: float) -> float:
@@ -175,9 +170,8 @@ def _mcmc_seed(master: int, kind: PriorKind, n: int, j: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def fit_replicate(d: Dataset, kind: PriorKind, mcmc: McmcConfig) -> ReplicateFit:
-    """Fit one dataset with the Gibbs sampler and summarize the pooled draws."""
-    chains = run_chains(d, kind, mcmc)
+def summarize_chains(chains: ChainSet) -> ReplicateFit:
+    """Summaries of the pooled draws, mean acceptance rate and, with 2+ chains, PSRF."""
     multi = len(chains) >= 2
     return ReplicateFit(
         beta=summarize(chains.pooled("beta")),
@@ -188,11 +182,17 @@ def fit_replicate(d: Dataset, kind: PriorKind, mcmc: McmcConfig) -> ReplicateFit
     )
 
 
-def _run_replicate(cfg: StudyConfig, kind: PriorKind, n: int, j: int) -> ReplicateFit:
+def fit_replicate(d: Dataset, kind: PriorKind, mcmc: McmcConfig) -> ReplicateFit:
+    """Fit one dataset with the Gibbs sampler and summarize the pooled draws."""
+    return summarize_chains(run_chains(d, kind, mcmc))
+
+
+def _fit_one(cfg: StudyConfig, kind: PriorKind, n: int, j: int, fit_fn) -> ReplicateFit:
+    """Replicate j of cell (kind, n): draw its dataset and seed its chains, then fit."""
     rng = np.random.default_rng(_dataset_seed(cfg.seed, n, j))
     d = sample(cfg.true_params, rng, n)
     mcmc = replace(cfg.mcmc, seed=_mcmc_seed(cfg.seed, kind, n, j))
-    return fit_replicate(d, kind, mcmc)
+    return fit_fn(d, kind, mcmc)
 
 
 def run_study(
@@ -211,39 +211,24 @@ def run_study(
     """
     m = cfg.replications
     cells = [(kind, n) for kind in cfg.priors for n in cfg.sample_sizes]
+    keys = [(kind, n, j) for kind, n in cells for j in range(m)]
+    use_pool = fit_fn is None and n_jobs > 1
+    fit_fn = fit_fn or fit_replicate
 
     fits: dict[tuple, ReplicateFit] = {}
-    if fit_fn is None and n_jobs > 1:
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            futures = {
-                (kind, n, j): pool.submit(_run_replicate, cfg, kind, n, j)
-                for kind, n in cells
-                for j in range(m)
-            }
-            for (kind, n, j), fut in futures.items():
-                try:
-                    fits[(kind, n, j)] = fut.result()
-                except Exception as exc:
-                    raise RuntimeError(
-                        f"replicate {j} failed for prior={kind.value}, n={n}: {exc}"
-                    ) from exc
-                _maybe_progress(progress, kind, n, j, m)
-    else:
-        for kind, n in cells:
-            for j in range(m):
-                try:
-                    if fit_fn is None:
-                        fits[(kind, n, j)] = _run_replicate(cfg, kind, n, j)
-                    else:
-                        rng = np.random.default_rng(_dataset_seed(cfg.seed, n, j))
-                        d = sample(cfg.true_params, rng, n)
-                        mcmc = replace(cfg.mcmc, seed=_mcmc_seed(cfg.seed, kind, n, j))
-                        fits[(kind, n, j)] = fit_fn(d, kind, mcmc)
-                except Exception as exc:
-                    raise RuntimeError(
-                        f"replicate {j} failed for prior={kind.value}, n={n}: {exc}"
-                    ) from exc
-                _maybe_progress(progress, kind, n, j, m)
+    with ProcessPoolExecutor(max_workers=n_jobs) if use_pool else nullcontext() as pool:
+        if use_pool:
+            calls = [pool.submit(_fit_one, cfg, *key, fit_fn).result for key in keys]
+        else:
+            calls = [partial(_fit_one, cfg, *key, fit_fn) for key in keys]
+        for (kind, n, j), call in zip(keys, calls):
+            try:
+                fits[(kind, n, j)] = call()
+            except Exception as exc:
+                raise RuntimeError(
+                    f"replicate {j} failed for prior={kind.value}, n={n}: {exc}"
+                ) from exc
+            _maybe_progress(progress, kind, n, j, m)
 
     rows: list[CellStats] = []
     estimates: dict[tuple, np.ndarray] = {}

@@ -26,16 +26,18 @@ from lomaxbayes import (
     fisher_inverse,
     gelman_rubin,
     log_pdf,
-    mh_step_alpha,
-    run_chain,
     run_chains,
     run_study,
     sample,
+)
+from lomaxbayes.cli import main
+from lomaxbayes.sampler import (
+    AugmentedState,
+    mh_step_alpha,
+    run_chain,
     sample_beta,
     sample_lambda,
 )
-from lomaxbayes.cli import main
-from lomaxbayes.sampler import AugmentedState
 
 TRUTH = LomaxParams(beta=2.0, alpha=1.5)
 STUDY_MCMC = McmcConfig(iterations=11000, burn_in=1000, thin=10, chains=2, tuning=1.0)

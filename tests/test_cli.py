@@ -5,8 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from lomaxbayes import LomaxParams, sample, summarize
+from lomaxbayes import LomaxParams, McmcConfig, PriorKind, fit_replicate, sample, summarize
 from lomaxbayes.cli import (
+    _sig6,
     EXIT_DATA,
     EXIT_NUMERIC,
     EXIT_OK,
@@ -121,6 +122,34 @@ class TestFitCommand:
             assert main(["fit", data, "--out", str(out)] + FIT_FLAGS) == EXIT_OK
         for name in ("summary.json", "trace.csv", "outliers.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_summary_equals_fit_replicate(self, tmp_path):
+        data = _make_data_file(tmp_path)
+        out = tmp_path / "out"
+        assert main(["fit", data, "--prior", "jeffreys", "--out", str(out)] + FIT_FLAGS) == EXIT_OK
+        summary = json.loads((out / "summary.json").read_text())
+        cfg = McmcConfig(iterations=600, burn_in=100, thin=5, chains=2, seed=7)
+        fit = fit_replicate(parse_dataset(data), PriorKind.JEFFREYS_DEPENDENT, cfg)
+        assert summary["acceptance_rate"] == _sig6(fit.accept_rate)
+        assert summary["psrf"] == {"alpha": _sig6(fit.psrf_alpha), "beta": _sig6(fit.psrf_beta)}
+        for param in ("beta", "alpha"):
+            s = getattr(fit, param)
+            assert summary[param] == {
+                "mean": _sig6(s.mean), "sd": _sig6(s.sd),
+                "ci_low": _sig6(s.ci_low), "ci_high": _sig6(s.ci_high),
+            }
+
+    def test_constant_retained_draws_give_null_psrf(self, tmp_path):
+        # at n = 5000 the shape proposal is rarely accepted; here neither chain
+        # moves alpha between its 2 retained draws, so W = 0 for alpha
+        d = sample(LomaxParams(2.0, 1.5), np.random.default_rng(0), 5000)
+        data = _write(tmp_path, "\n".join(repr(v) for v in d.x.tolist()) + "\n")
+        out = tmp_path / "out"
+        flags = ["--prior", "jeffreys", "--iters", "12", "--burnin", "2", "--thin", "5",
+                 "--seed", "0", "--out", str(out)]
+        assert main(["fit", data] + flags) == EXIT_OK
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["psrf"]["alpha"] is None
 
     def test_propriety_violation_exits_3(self, tmp_path, capsys):
         data = _write(tmp_path, "5.0\n")

@@ -82,6 +82,11 @@ class TestGelmanRubin:
         mat = rng.normal(size=(3, 200))
         assert gelman_rubin(mat) == pytest.approx(gelman_rubin(-2.5 * mat + 7.0), rel=1e-12)
 
+    def test_constant_chains(self):
+        # W = 0: equal chain means give NaN, different ones +inf, never a crash
+        assert math.isnan(gelman_rubin([np.full(5, 2.0), np.full(5, 2.0)]))
+        assert gelman_rubin([np.full(5, 2.0), np.full(5, 3.0)]) == math.inf
+
     def test_input_validation(self):
         with pytest.raises(ValueError, match="unequal"):
             gelman_rubin([[1.0, 2.0], [1.0, 2.0, 3.0]])

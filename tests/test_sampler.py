@@ -8,23 +8,26 @@ from scipy.integrate import quad
 from scipy.stats import norm
 
 from lomaxbayes import (
-    AugmentedState,
     Dataset,
     DegenerateDataError,
     ImproperPosteriorError,
     LomaxParams,
     McmcConfig,
     PriorKind,
+    run_chains,
+    sample,
+)
+from lomaxbayes import sampler
+from lomaxbayes.sampler import (
+    AugmentedState,
+    _mh_step_alpha,
+    _truncation_log_correction,
     log_alpha_conditional,
     mh_step_alpha,
     run_chain,
-    run_chains,
-    sample,
     sample_beta,
     sample_lambda,
 )
-from lomaxbayes import sampler
-from lomaxbayes.sampler import _mh_step_alpha, _truncation_log_correction
 
 N_DRAWS = 100_000
 
@@ -302,16 +305,35 @@ class TestRunChains:
         assert cs[0].seed != cs[1].seed
         assert not np.array_equal(cs[0].alpha, cs[1].alpha)
 
-    def test_serial_and_concurrent_runs_agree(self):
-        d = _data(10)
-        cfg = McmcConfig(iterations=400, burn_in=100, thin=3, chains=3, seed=9)
-        serial = run_chains(d, PriorKind.REFERENCE, cfg, parallel=False)
-        threaded = run_chains(d, PriorKind.REFERENCE, cfg, parallel=True)
-        for cs, ct in zip(serial, threaded):
-            assert cs.chain_index == ct.chain_index
-            np.testing.assert_array_equal(cs.alpha, ct.alpha)
-            np.testing.assert_array_equal(cs.beta, ct.beta)
-            np.testing.assert_array_equal(cs.lambda_means, ct.lambda_means)
+    @pytest.mark.parametrize(
+        "n, cpus, chains, workers",
+        [
+            (sampler._THREADS_MIN_N - 1, 2, 3, None),
+            (sampler._THREADS_MIN_N, 2, 3, 2),
+            (sampler._THREADS_MIN_N, 1, 3, None),
+            (sampler._THREADS_MIN_N, 4, 1, None),
+        ],
+    )
+    def test_threads_only_from_the_crossover(self, monkeypatch, n, cpus, chains, workers):
+        pools = []
+
+        class SpyPool(sampler.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(sampler, "ThreadPoolExecutor", SpyPool)
+        monkeypatch.setattr(sampler, "_usable_cpus", lambda: cpus)
+        d = _data(n)
+        cfg = McmcConfig(iterations=60, burn_in=10, thin=5, chains=chains, seed=9)
+        cs = run_chains(d, PriorKind.REFERENCE, cfg)
+        assert pools == ([] if workers is None else [workers])
+        assert len(cs) == chains
+        for i, c in enumerate(cs):
+            ref = run_chain(d, PriorKind.REFERENCE, cfg, i)
+            assert (c.chain_index, c.seed, c.accepted) == (i, ref.seed, ref.accepted)
+            for field in ("alpha", "beta", "lambda_means"):
+                assert getattr(c, field).tobytes() == getattr(ref, field).tobytes()
 
 
 def _allocating_chain(d, kind, cfg, chain_index=0):
