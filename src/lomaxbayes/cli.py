@@ -26,7 +26,7 @@ import numpy as np
 from .diagnostics import outlier_scores
 from .distribution import Dataset, LomaxParams
 from .priors import ImproperPosteriorError, PriorKind
-from .sampler import _THREADS_MIN_N, ChainSet, DegenerateDataError, McmcConfig, run_chains
+from .sampler import _FORK_MIN_ITERATIONS, ChainSet, DegenerateDataError, McmcConfig, run_chains
 from .simulation import ReplicateFit, StudyConfig, run_study, summarize_chains
 
 __all__ = ["DataFormatError", "parse_dataset", "cmd_fit", "cmd_simulate", "main"]
@@ -191,8 +191,9 @@ def _add_mcmc_flags(p, defaults: McmcConfig):
     p.add_argument("--thin", type=int, default=defaults.thin, help="keep every thin-th draw")
     p.add_argument(
         "--chains", type=int, default=defaults.chains,
-        help=f"number of chains; run on threads when n >= {_THREADS_MIN_N} "
-        "and more than one CPU is usable, else one after another",
+        help="number of chains; with more than one usable CPU and "
+        f"--iters >= {_FORK_MIN_ITERATIONS} they run in forked processes, "
+        "up to one per CPU, else one after another",
     )
     p.add_argument("--tuning", type=float, default=defaults.tuning, help="shape proposal SD")
     p.add_argument("--seed", type=int, default=defaults.seed, help="master seed")

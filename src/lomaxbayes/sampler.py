@@ -28,8 +28,10 @@ array without changing any draw.
 from __future__ import annotations
 
 import math
+import multiprocessing
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,14 +56,17 @@ __all__ = [
 
 _SEED_MASK = (1 << 64) - 1
 
-# Smallest n at which run_chains runs its chains on threads.  numpy releases
-# the GIL only in the length-n gamma fill of the latent draw; the rest of an
-# iteration holds it, so threads lose at small n.  Threaded / serial speed-up,
-# 2 chains, dependent Jeffreys, 2-core VM:
+# Fewest iterations per chain at which run_chains forks worker processes: a
+# fork costs 15-30 ms and each forked chain's result is pickled back, so
+# short chains run faster one after another.  Forked / serial speed-up,
+# 2 chains, dependent Jeffreys, 2-core VM, median of 7 interleaved runs:
 #
-#       n    150    500          1000         2000   5000
-#       x    0.94   0.73-0.77    1.09-1.20    1.39   1.56
-_THREADS_MIN_N = 1000
+#       iterations   250    500    1000   2000   4000
+#       n = 50       0.46   0.63   0.76   1.19   1.63
+#       n = 500      0.69   1.06   1.36   1.48   1.72
+#
+# A larger n only lowers the crossover.
+_FORK_MIN_ITERATIONS = 2000
 
 
 class DegenerateDataError(ValueError):
@@ -358,19 +363,37 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _chain_task(d: Dataset, kind: PriorKind, cfg: McmcConfig, chain_index: int) -> Chain:
+    # A pool pickles its task by name, and run_chain may have been replaced
+    # by a wrapper (a tracer, a test's patch) that cannot be pickled.
+    return run_chain(d, kind, cfg, chain_index)
+
+
 def run_chains(d: Dataset, kind: PriorKind, cfg: McmcConfig) -> ChainSet:
     """Run ``cfg.chains`` independent chains; result is ordered by chain index.
 
-    From n = _THREADS_MIN_N on, the chains run on up to one thread per
-    usable CPU; below it, and with one chain or one CPU, one after another.
-    Each chain owns its generator, so the output is the same either way.
+    With w = min(chains, usable CPUs) > 1 and at least
+    ``_FORK_MIN_ITERATIONS`` iterations per chain, w - 1 forked worker
+    processes run the chains with ``i % w != 0`` while the caller runs the
+    others.  Otherwise, and in a worker process or a process with other
+    threads, the chains run one after another.  Each chain owns its
+    generator, so the output is the same either way, and an error is the
+    one a serial run raises first.
     """
     check_propriety(kind, d.n)
     indices = range(cfg.chains)
-    workers = min(cfg.chains, _usable_cpus()) if d.n >= _THREADS_MIN_N else 1
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chains = list(pool.map(lambda i: run_chain(d, kind, cfg, i), indices))
-    else:
-        chains = [run_chain(d, kind, cfg, i) for i in indices]
+    w = min(cfg.chains, _usable_cpus())
+    if (
+        w < 2
+        or cfg.iterations < _FORK_MIN_ITERATIONS
+        # a pool's worker (run_study's) runs its chains itself
+        or multiprocessing.parent_process() is not None
+        # a fork copies no thread but every lock another thread may hold
+        or threading.active_count() > 1
+        or "fork" not in multiprocessing.get_all_start_methods()
+    ):
+        return ChainSet(tuple(run_chain(d, kind, cfg, i) for i in indices))
+    with ProcessPoolExecutor(max_workers=w - 1, mp_context=multiprocessing.get_context("fork")) as pool:
+        forked = {i: pool.submit(_chain_task, d, kind, cfg, i) for i in indices if i % w}
+        chains = [forked[i].result() if i in forked else run_chain(d, kind, cfg, i) for i in indices]
     return ChainSet(tuple(chains))

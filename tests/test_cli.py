@@ -5,7 +5,16 @@ import json
 import numpy as np
 import pytest
 
-from lomaxbayes import LomaxParams, McmcConfig, PriorKind, fit_replicate, sample, summarize
+from lomaxbayes import (
+    DegenerateDataError,
+    LomaxParams,
+    McmcConfig,
+    PriorKind,
+    fit_replicate,
+    sample,
+    sampler,
+    summarize,
+)
 from lomaxbayes.cli import (
     _sig6,
     EXIT_DATA,
@@ -156,6 +165,32 @@ class TestFitCommand:
         code = main(["fit", data, "--prior", "reference", "--out", str(tmp_path)] + FIT_FLAGS)
         assert code == EXIT_NUMERIC
         assert "improper posterior" in capsys.readouterr().err
+
+    def test_error_in_a_forked_chain_exits_3(self, tmp_path, monkeypatch, capsys, process_pools):
+        monkeypatch.setattr(sampler, "_usable_cpus", lambda: 2)
+        orig = sampler.run_chain
+
+        def fail_chain_1(d, kind, cfg, chain_index=0):
+            if chain_index == 1:
+                raise DegenerateDataError("chain 1 failed")
+            return orig(d, kind, cfg, chain_index)
+
+        monkeypatch.setattr(sampler, "run_chain", fail_chain_1)
+        data = _make_data_file(tmp_path)
+        iters = str(sampler._FORK_MIN_ITERATIONS)
+        flags = ["--iters", iters, "--burnin", "100", "--thin", "10", "--out", str(tmp_path / "o")]
+        # exit 3 needs the DegenerateDataError type back from the forked chain
+        assert main(["fit", data] + flags) == EXIT_NUMERIC
+        assert "chain 1 failed" in capsys.readouterr().err
+        assert process_pools == [1]
+
+    def test_zero_heavy_data_exits_3_with_forked_chains(self, tmp_path, monkeypatch):
+        # the reference chain underflows beta and then every lambda_i x_i
+        monkeypatch.setattr(sampler, "_usable_cpus", lambda: 2)
+        data = _write(tmp_path, "0\n" * 99 + "1.0\n")
+        flags = ["--iters", "4000", "--burnin", "1000", "--thin", "10", "--out", str(tmp_path / "o")]
+        with np.errstate(over="ignore"):
+            assert main(["fit", data] + flags) == EXIT_NUMERIC
 
     def test_dependent_jeffreys_accepts_single_observation(self, tmp_path):
         data = _write(tmp_path, "5.0\n")

@@ -1,6 +1,7 @@
 """Gibbs conditionals, the MH shape update and full-chain behavior."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -305,35 +306,59 @@ class TestRunChains:
         assert cs[0].seed != cs[1].seed
         assert not np.array_equal(cs[0].alpha, cs[1].alpha)
 
-    @pytest.mark.parametrize(
-        "n, cpus, chains, workers",
-        [
-            (sampler._THREADS_MIN_N - 1, 2, 3, None),
-            (sampler._THREADS_MIN_N, 2, 3, 2),
-            (sampler._THREADS_MIN_N, 1, 3, None),
-            (sampler._THREADS_MIN_N, 4, 1, None),
-        ],
-    )
-    def test_threads_only_from_the_crossover(self, monkeypatch, n, cpus, chains, workers):
-        pools = []
+    @pytest.mark.parametrize("in_worker", [False, True])
+    @pytest.mark.parametrize("iterations", [sampler._FORK_MIN_ITERATIONS - 1, sampler._FORK_MIN_ITERATIONS])
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("chains", [1, 2, 3])
+    def test_forks_only_when_every_condition_holds(
+        self, monkeypatch, process_pools, chains, cpus, iterations, in_worker
+    ):
+        # the spy is a local closure, which pickle cannot send: the pool
+        # must be handed a module-level task, not run_chain
+        seen, orig = [], sampler.run_chain
 
-        class SpyPool(sampler.ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-                super().__init__(max_workers)
+        def spy(d, kind, cfg, chain_index=0):
+            seen.append(chain_index)
+            return orig(d, kind, cfg, chain_index)
 
-        monkeypatch.setattr(sampler, "ThreadPoolExecutor", SpyPool)
+        monkeypatch.setattr(sampler, "run_chain", spy)
         monkeypatch.setattr(sampler, "_usable_cpus", lambda: cpus)
-        d = _data(n)
-        cfg = McmcConfig(iterations=60, burn_in=10, thin=5, chains=chains, seed=9)
+        if in_worker:
+            monkeypatch.setattr(sampler.multiprocessing, "parent_process", lambda: object())
+        d = _data(12)
+        cfg = McmcConfig(iterations=iterations, burn_in=100, thin=50, chains=chains, seed=9)
         cs = run_chains(d, PriorKind.REFERENCE, cfg)
-        assert pools == ([] if workers is None else [workers])
-        assert len(cs) == chains
-        for i, c in enumerate(cs):
-            ref = run_chain(d, PriorKind.REFERENCE, cfg, i)
-            assert (c.chain_index, c.seed, c.accepted) == (i, ref.seed, ref.accepted)
-            for field in ("alpha", "beta", "lambda_means"):
-                assert getattr(c, field).tobytes() == getattr(ref, field).tobytes()
+        w = min(chains, cpus)
+        forks = w > 1 and iterations >= sampler._FORK_MIN_ITERATIONS and not in_worker
+        assert process_pools == ([w - 1] if forks else [])
+        # with 3 chains on 2 CPUs the caller runs chains 0 and 2
+        assert seen == [i for i in range(chains) if not forks or i % w == 0]
+        _assert_chains_equal_run_chain(cs, d, PriorKind.REFERENCE, cfg)
+
+    def test_serial_while_another_thread_runs(self, monkeypatch, process_pools):
+        monkeypatch.setattr(sampler, "_usable_cpus", lambda: 2)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait, args=(60,))
+        other.start()
+        try:
+            d = _data(12)
+            cfg = McmcConfig(iterations=sampler._FORK_MIN_ITERATIONS, burn_in=100, thin=50, seed=9)
+            cs = run_chains(d, PriorKind.REFERENCE, cfg)
+        finally:
+            release.set()
+            other.join(timeout=60)
+        assert not other.is_alive()
+        assert process_pools == []
+        _assert_chains_equal_run_chain(cs, d, PriorKind.REFERENCE, cfg)
+
+
+def _assert_chains_equal_run_chain(cs, d, kind, cfg):
+    assert len(cs) == cfg.chains
+    for i, c in enumerate(cs):
+        ref = run_chain(d, kind, cfg, i)
+        assert (c.chain_index, c.seed, c.accepted) == (i, ref.seed, ref.accepted)
+        for field in ("alpha", "beta", "lambda_means"):
+            assert getattr(c, field).tobytes() == getattr(ref, field).tobytes()
 
 
 def _allocating_chain(d, kind, cfg, chain_index=0):

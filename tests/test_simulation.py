@@ -15,6 +15,7 @@ from lomaxbayes import (
     bias,
     rmse,
     run_study,
+    sampler,
 )
 from lomaxbayes.simulation import CSV_COLUMNS
 
@@ -143,6 +144,22 @@ class TestRunStudyEndToEnd:
         r1 = run_study(self._small_cfg(), n_jobs=1)
         r2 = run_study(self._small_cfg(), n_jobs=2)
         assert r1.rows == r2.rows
+
+    def test_forked_chains_match_serial_workers(self, monkeypatch, process_pools):
+        # n_jobs=1 forks each replicate's chains; n_jobs=2 workers run theirs serially
+        monkeypatch.setattr(sampler, "_usable_cpus", lambda: 2)
+        mcmc = McmcConfig(iterations=sampler._FORK_MIN_ITERATIONS, burn_in=500, thin=10, seed=5)
+        cfg = StudyConfig(
+            true_params=TRUTH, sample_sizes=(20,), replications=2,
+            priors=(PriorKind.JEFFREYS_DEPENDENT,), mcmc=mcmc, seed=3,
+        )
+        csvs = []
+        for n_jobs in (1, 2):
+            buf = io.StringIO()
+            run_study(cfg, n_jobs=n_jobs).to_csv(buf)
+            csvs.append(buf.getvalue())
+        assert process_pools == [1, 1]
+        assert csvs[0] == csvs[1]
 
     def test_rows_shape_and_jensen(self):
         cfg = StudyConfig(
