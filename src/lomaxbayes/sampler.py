@@ -12,7 +12,10 @@ updates, in this order:
 3. ``alpha | lambda`` by one random-walk Metropolis-Hastings step with a
    Normal(alpha, tuning^2) proposal resampled until positive.  The
    Hastings correction for that truncation is
-   ``log Phi(alpha/tuning) - log Phi(proposal/tuning)``.
+   ``log Phi(alpha/tuning) - log Phi(proposal/tuning)``.  The chain
+   carries ``-n log Gamma(alpha)``, the log prior and ``log Phi(alpha/tuning)``
+   of its current alpha from step to step and computes them only for a
+   proposal; alpha changes on a minority of steps.
 
 Chains are reproducible: chain i seeds its own generator with
 ``seed XOR (i+1)``, so results do not depend on execution order.
@@ -23,6 +26,23 @@ scale)`` computes ``scale * standard_gamma(shape)`` element by element from
 the same stream, and the scale ``1/(1 + x_i/beta)`` is computed with the
 same operations in the same order.  So an iteration allocates no length-n
 array without changing any draw.
+
+Each stage uses the numpy call with the least per-call cost among those
+that give the same bits:
+
+- ``np.reciprocal(w)`` for ``1.0 / w``: both are one correctly rounded
+  IEEE division per element;
+- ``lam.dot(x)`` for ``lam @ x``: both reach the same BLAS dot product
+  for two 1-D float arrays;
+- ``np.add.reduce(v)`` for ``v.sum()``: the method calls the same
+  pairwise reduction;
+- ``alpha + tuning * rng.standard_normal()`` for
+  ``alpha + rng.normal(0.0, tuning)``: numpy computes ``normal`` as
+  ``loc + scale * standard_normal`` from the same stream, and ``0.0 + z``
+  equals ``z`` up to the sign of a zero, which ``alpha + z`` does not see.
+
+``rng.gamma(n)`` and ``w += 1.0`` stay as they are: ``standard_gamma`` and
+``np.add(w, 1.0, out=w)`` give the same bits but cost more per call.
 """
 
 from __future__ import annotations
@@ -69,6 +89,11 @@ _SEED_MASK = (1 << 64) - 1
 _FORK_MIN_ITERATIONS = 2000
 
 
+def _check_positive_finite(name: str, value) -> None:
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
 class DegenerateDataError(ValueError):
     """All observations are zero, so the scale conditional is degenerate."""
 
@@ -85,10 +110,8 @@ class AugmentedState:
         self.alpha = float(self.alpha)
         self.beta = float(self.beta)
         self.lam = np.asarray(self.lam, dtype=float)
-        if not math.isfinite(self.alpha) or self.alpha <= 0.0:
-            raise ValueError(f"alpha must be positive and finite, got {self.alpha!r}")
-        if not math.isfinite(self.beta) or self.beta <= 0.0:
-            raise ValueError(f"beta must be positive and finite, got {self.beta!r}")
+        _check_positive_finite("alpha", self.alpha)
+        _check_positive_finite("beta", self.beta)
         if self.lam.ndim != 1 or self.lam.size < 1:
             raise ValueError("lam must be a non-empty 1-D vector")
         if not np.all(np.isfinite(self.lam)) or np.any(self.lam <= 0.0):
@@ -123,12 +146,10 @@ class McmcConfig:
             raise ValueError("thin must be >= 1")
         if self.chains < 1:
             raise ValueError("chains must be >= 1")
-        if not (math.isfinite(self.tuning) and self.tuning > 0.0):
-            raise ValueError("tuning must be positive and finite")
+        _check_positive_finite("tuning", self.tuning)
         for name in ("init_alpha", "init_beta"):
-            v = getattr(self, name)
-            if v is not None and not (math.isfinite(v) and v > 0.0):
-                raise ValueError(f"{name} must be positive and finite when given")
+            if getattr(self, name) is not None:
+                _check_positive_finite(name, getattr(self, name))
         if self.retained < 1:
             raise ValueError("no retained draws: need iterations - burn_in >= thin")
 
@@ -225,7 +246,7 @@ def sample_lambda(
         work = np.empty(d.n)
     np.divide(d.x, state.beta, out=work)
     work += 1.0
-    np.divide(1.0, work, out=work)
+    np.reciprocal(work, out=work)
     rng.standard_gamma(state.alpha + 1.0, out=out)
     out *= work
     return out
@@ -233,16 +254,23 @@ def sample_lambda(
 
 def sample_beta(state: AugmentedState, d: Dataset, rng: np.random.Generator) -> float:
     """One Gibbs draw of the scale: beta ~ InverseGamma(n, sum(lambda_i x_i))."""
-    s = float(state.lam @ d.x)
+    s = float(state.lam.dot(d.x))
     if s <= 0.0:
         raise DegenerateDataError(
             "sum(lambda_i * x_i) is zero; the scale conditional needs at least one x_i > 0"
         )
-    return s / float(rng.gamma(d.n))
+    return s / rng.gamma(d.n)
 
 
-def _log_alpha_conditional(kind: PriorKind, alpha: float, n: int, sum_log_lam: float) -> float:
-    return -n * math.lgamma(alpha) + (alpha - 1.0) * sum_log_lam + log_prior_alpha(kind, alpha)
+def _alpha_terms(kind: PriorKind, a: float, n: int, tuning: float) -> tuple[float, float, float]:
+    # The parts of the shape's MH log ratio that depend on one alpha alone:
+    # -n log Gamma(a), the log prior and log Phi(a/tuning).  A chain carries
+    # them for its current alpha and computes them only for a proposal.
+    return -n * math.lgamma(a), log_prior_alpha(kind, a), float(log_ndtr(a / tuning))
+
+
+def _log_conditional(terms: tuple[float, float, float], a: float, sum_log_lam: float) -> float:
+    return terms[0] + (a - 1.0) * sum_log_lam + terms[1]
 
 
 def log_alpha_conditional(kind: PriorKind, alpha: float, lam) -> float:
@@ -250,38 +278,40 @@ def log_alpha_conditional(kind: PriorKind, alpha: float, lam) -> float:
 
         -n log Gamma(a) + (a-1) sum log lambda_i + log_prior_alpha(kind, a)
     """
-    if alpha <= 0.0:
-        raise ValueError("alpha must be > 0")
+    _check_positive_finite("alpha", alpha)
+    alpha = float(alpha)
     lam = np.asarray(lam, dtype=float)
-    return _log_alpha_conditional(kind, float(alpha), lam.size, float(np.log(lam).sum()))
-
-
-def _truncation_log_correction(current: float, proposal: float, tuning: float) -> float:
-    # Hastings ratio of the positive-truncated normal proposal densities.
-    return float(log_ndtr(current / tuning) - log_ndtr(proposal / tuning))
+    # any tuning will do: the truncation term is not part of the density
+    terms = _alpha_terms(kind, alpha, lam.size, 1.0)
+    return _log_conditional(terms, alpha, float(np.log(lam).sum()))
 
 
 def _mh_step_alpha(
     current: float,
+    terms: tuple[float, float, float],
     kind: PriorKind,
     n: int,
     sum_log_lam: float,
     tuning: float,
     rng: np.random.Generator,
-) -> tuple[float, bool]:
+) -> tuple[float, tuple[float, float, float], bool]:
+    # terms are _alpha_terms(kind, current, n, tuning); returns the new
+    # alpha, its terms and whether the proposal was accepted
     while True:
-        proposal = current + rng.normal(0.0, tuning)
+        proposal = current + tuning * rng.standard_normal()
         if proposal > 0.0:
             break
+    proposed = _alpha_terms(kind, proposal, n, tuning)
     log_ratio = (
-        _log_alpha_conditional(kind, proposal, n, sum_log_lam)
-        - _log_alpha_conditional(kind, current, n, sum_log_lam)
-        + _truncation_log_correction(current, proposal, tuning)
+        _log_conditional(proposed, proposal, sum_log_lam)
+        - _log_conditional(terms, current, sum_log_lam)
+        # Hastings ratio of the positive-truncated normal proposal densities
+        + (terms[2] - proposed[2])
     )
     # u in (0, 1]: log(1) = 0 keeps "ratio 0 => always accept" exact
     if math.log(1.0 - rng.random()) <= log_ratio:
-        return proposal, True
-    return current, False
+        return proposal, proposed, True
+    return current, terms, False
 
 
 def mh_step_alpha(
@@ -292,12 +322,16 @@ def mh_step_alpha(
     rng: np.random.Generator,
 ) -> tuple[float, bool]:
     """One Metropolis-Hastings update of the shape; returns (alpha, accepted)."""
-    if current <= 0.0:
-        raise ValueError("current alpha must be > 0")
+    _check_positive_finite("current alpha", current)
+    _check_positive_finite("tuning", tuning)
+    current, tuning = float(current), float(tuning)
     lam = np.asarray(lam, dtype=float)
-    return _mh_step_alpha(
-        float(current), kind, lam.size, float(np.log(lam).sum()), float(tuning), rng
+    n = lam.size
+    terms = _alpha_terms(kind, current, n, tuning)
+    alpha, _, accepted = _mh_step_alpha(
+        current, terms, kind, n, float(np.log(lam).sum()), tuning, rng
     )
+    return alpha, accepted
 
 
 def run_chain(d: Dataset, kind: PriorKind, cfg: McmcConfig, chain_index: int = 0) -> Chain:
@@ -328,11 +362,14 @@ def run_chain(d: Dataset, kind: PriorKind, cfg: McmcConfig, chain_index: int = 0
     k = 0
 
     n, burn_in, thin, tuning = d.n, cfg.burn_in, cfg.thin, cfg.tuning
+    terms = _alpha_terms(kind, state.alpha, n, tuning)
     for it in range(cfg.iterations):
         sample_lambda(state, d, rng, out=lam, work=work)
         state.beta = sample_beta(state, d, rng)
-        sum_log_lam = float(np.log(lam, out=work).sum())
-        state.alpha, acc = _mh_step_alpha(state.alpha, kind, n, sum_log_lam, tuning, rng)
+        sum_log_lam = float(np.add.reduce(np.log(lam, out=work)))
+        state.alpha, terms, acc = _mh_step_alpha(
+            state.alpha, terms, kind, n, sum_log_lam, tuning, rng
+        )
         accepted += acc
         if it >= burn_in and (it - burn_in + 1) % thin == 0:
             alpha_out[k] = state.alpha

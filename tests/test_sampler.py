@@ -6,6 +6,7 @@ import threading
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import log_ndtr
 from scipy.stats import norm
 
 from lomaxbayes import (
@@ -19,10 +20,10 @@ from lomaxbayes import (
     sample,
 )
 from lomaxbayes import sampler
+from lomaxbayes.priors import log_prior_alpha
 from lomaxbayes.sampler import (
     AugmentedState,
-    _mh_step_alpha,
-    _truncation_log_correction,
+    _alpha_terms,
     log_alpha_conditional,
     mh_step_alpha,
     run_chain,
@@ -165,19 +166,20 @@ class TestAlphaConditional:
         got = log_alpha_conditional(PriorKind.JEFFREYS_DEPENDENT, 1.0, [1.0, 1.0])
         assert got == pytest.approx(expected, rel=1e-14)
 
-    def test_rejects_nonpositive_alpha(self):
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_alpha_not_positive_and_finite(self, alpha):
         with pytest.raises(ValueError):
-            log_alpha_conditional(PriorKind.REFERENCE, 0.0, [1.0])
+            log_alpha_conditional(PriorKind.REFERENCE, alpha, [1.0])
 
 
 class _PinnedRng:
-    """normal() pinned to a constant step; random() pinned too."""
+    """standard_normal() pinned to a constant step; random() pinned too."""
 
     def __init__(self, step=0.0, uniform=0.5):
         self.step = step
         self.uniform = uniform
 
-    def normal(self, loc=0.0, scale=1.0):
+    def standard_normal(self):
         return self.step
 
     def random(self):
@@ -191,18 +193,32 @@ class TestMhStepAlpha:
         )
         assert accepted and new == 1.7
 
+    @staticmethod
+    def _truncation_log_correction(current, proposal, tuning):
+        # the Hastings term of a step from current to proposal
+        return (_alpha_terms(PriorKind.REFERENCE, current, 3, tuning)[2]
+                - _alpha_terms(PriorKind.REFERENCE, proposal, 3, tuning)[2])
+
     def test_truncation_correction_matches_normal_logcdf(self):
-        got = _truncation_log_correction(0.4, 1.1, 0.7)
+        got = self._truncation_log_correction(0.4, 1.1, 0.7)
         want = norm.logcdf(0.4 / 0.7) - norm.logcdf(1.1 / 0.7)
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_truncation_correction_vanishes_far_from_zero(self):
         # both current and proposal many tuning sds above 0: Phi -> 1
-        assert _truncation_log_correction(40.0, 41.0, 1.0) == 0.0
+        assert self._truncation_log_correction(40.0, 41.0, 1.0) == 0.0
 
-    def test_rejects_nonpositive_current(self):
-        with pytest.raises(ValueError):
-            mh_step_alpha(0.0, PriorKind.REFERENCE, [1.0], 1.0, np.random.default_rng(0))
+    @pytest.mark.parametrize("current", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_current_not_positive_and_finite(self, current):
+        # a NaN proposal is never > 0, so a NaN current would redraw forever
+        with pytest.raises(ValueError, match="current alpha"):
+            mh_step_alpha(current, PriorKind.REFERENCE, [1.0], 1.0, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("tuning", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_tuning_not_positive_and_finite(self, tuning):
+        # unchecked, NaN would redraw forever, 0 divide by zero and -1 flip the walk
+        with pytest.raises(ValueError, match="tuning"):
+            mh_step_alpha(1.0, PriorKind.REFERENCE, [1.0], tuning, np.random.default_rng(0))
 
     def test_stationary_mean_matches_quadrature(self):
         # fixed latents: the chain must hold the conditional's mean
@@ -362,17 +378,34 @@ def _assert_chains_equal_run_chain(cs, d, kind, cfg):
 
 
 def _allocating_chain(d, kind, cfg, chain_index=0):
-    """The Gibbs loop in its allocating form: fresh arrays every iteration."""
+    """The Gibbs loop in its allocating form: fresh arrays every iteration,
+    and every term of the shape's log ratio computed afresh at every step."""
+
+    def log_conditional(a, sum_log_lam):
+        return -d.n * math.lgamma(a) + (a - 1.0) * sum_log_lam + log_prior_alpha(kind, a)
+
     rng = np.random.default_rng((cfg.seed ^ (chain_index + 1)) & ((1 << 64) - 1))
     alpha = cfg.init_alpha if cfg.init_alpha is not None else float(rng.gamma(1.0))
     beta = cfg.init_beta if cfg.init_beta is not None else float(rng.gamma(1.0))
+    tuning = cfg.tuning
     alphas, betas, lams = [], [], []
     accepted = 0
     for it in range(cfg.iterations):
         lam = rng.gamma(alpha + 1.0, 1.0 / (1.0 + d.x / beta))
         beta = float(lam @ d.x) / float(rng.gamma(d.n))
         sum_log_lam = float(np.log(lam).sum())
-        alpha, acc = _mh_step_alpha(alpha, kind, d.n, sum_log_lam, cfg.tuning, rng)
+        while True:
+            proposal = alpha + rng.normal(0.0, tuning)
+            if proposal > 0.0:
+                break
+        log_ratio = (
+            log_conditional(proposal, sum_log_lam)
+            - log_conditional(alpha, sum_log_lam)
+            + float(log_ndtr(alpha / tuning) - log_ndtr(proposal / tuning))
+        )
+        acc = math.log(1.0 - rng.random()) <= log_ratio
+        if acc:
+            alpha = proposal
         accepted += acc
         if it >= cfg.burn_in and (it - cfg.burn_in + 1) % cfg.thin == 0:
             alphas.append(alpha)
@@ -396,12 +429,13 @@ _IDENTITY_CASES = [
 class TestBufferedKernelIdentity:
     """run_chain's in-place kernel gives the allocating loop's bits exactly."""
 
+    @pytest.mark.parametrize("tuning", [1.0, 0.3])
     @pytest.mark.parametrize("store", [False, True])
     @pytest.mark.parametrize("init", [None, (2.5, 0.7)])
     @pytest.mark.parametrize("kind,n", _IDENTITY_CASES)
-    def test_matches_allocating_loop_bitwise(self, kind, n, init, store):
+    def test_matches_allocating_loop_bitwise(self, kind, n, init, store, tuning):
         d = _data(n, seed=n)
-        cfg = McmcConfig(iterations=600, burn_in=100, thin=5, seed=2718,
+        cfg = McmcConfig(iterations=600, burn_in=100, thin=5, seed=2718, tuning=tuning,
                          init_alpha=init and init[0], init_beta=init and init[1],
                          store_lambda_traces=store)
         c = run_chain(d, kind, cfg, chain_index=1)
