@@ -45,6 +45,14 @@ class DataFormatError(ValueError):
     """Input file violates the one-value-per-line dataset format."""
 
 
+# exception classes -> (message label, exit code); the first match wins
+_ERRORS = (
+    ((DataFormatError, OSError), "data error", EXIT_DATA),
+    ((ImproperPosteriorError, DegenerateDataError, FloatingPointError), "numerical error", EXIT_NUMERIC),
+    (ValueError, "invalid configuration", EXIT_USAGE),
+)
+
+
 def parse_dataset(path) -> Dataset:
     """Read a dataset: one nonnegative real per line.
 
@@ -249,15 +257,14 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (DataFormatError, OSError) as exc:
-        print(f"lomaxbayes: data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except (ImproperPosteriorError, DegenerateDataError, FloatingPointError) as exc:
-        print(f"lomaxbayes: numerical error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except ValueError as exc:
-        print(f"lomaxbayes: invalid configuration: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except Exception as exc:
+        # run_study wraps a replicate's error, so its cause may decide the exit code
+        for err in (exc, exc.__cause__):
+            for types, label, code in _ERRORS:
+                if isinstance(err, types):
+                    print(f"lomaxbayes: {label}: {exc}", file=sys.stderr)
+                    return code
+        raise
 
 
 def console_main() -> None:

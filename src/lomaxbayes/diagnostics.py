@@ -90,19 +90,13 @@ class OutlierScores:
     flagged: np.ndarray
 
 
-def outlier_scores(
-    chains: ChainSet,
-    d: Dataset,
-    *,
-    score_percentile: float = 5.0,
-    data_percentile: float = 95.0,
-) -> OutlierScores:
+def outlier_scores(chains: ChainSet, d: Dataset) -> OutlierScores:
     """Score observations by the pooled posterior mean of their latent lambda_i.
 
     A large observation shrinks the Gamma(alpha+1, 1 + x_i/beta) latent
     mean, so candidates sit in the low-score tail.  An observation is
-    flagged when its score falls below the ``score_percentile`` of all
-    scores and x_i exceeds the ``data_percentile`` of the data.
+    flagged when its score falls below the 5th percentile of all scores
+    and x_i exceeds the 95th percentile of the data.
     """
     scores = chains.lambda_means
     if scores.shape != (d.n,):
@@ -112,7 +106,7 @@ def outlier_scores(
     if d.n < 2:
         flagged = np.zeros(d.n, dtype=bool)
     else:
-        score_cut = np.percentile(scores, score_percentile)
-        data_cut = np.percentile(d.x, data_percentile)
+        score_cut = np.percentile(scores, 5.0)
+        data_cut = np.percentile(d.x, 95.0)
         flagged = (scores < score_cut) & (d.x > data_cut)
     return OutlierScores(scores=scores, flagged=flagged)

@@ -34,6 +34,11 @@ __all__ = [
 ]
 
 
+def _check_positive_finite(name: str, value) -> None:
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class LomaxParams:
     """Scale ``beta`` and shape ``alpha``; both strictly positive and finite."""
@@ -42,14 +47,10 @@ class LomaxParams:
     alpha: float
 
     def __post_init__(self):
-        beta = float(self.beta)
-        alpha = float(self.alpha)
-        if not math.isfinite(beta) or beta <= 0.0:
-            raise ValueError(f"beta must be a positive finite real, got {self.beta!r}")
-        if not math.isfinite(alpha) or alpha <= 0.0:
-            raise ValueError(f"alpha must be a positive finite real, got {self.alpha!r}")
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "alpha", alpha)
+        for name in ("beta", "alpha"):
+            value = float(getattr(self, name))
+            _check_positive_finite(name, value)
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)

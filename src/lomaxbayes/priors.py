@@ -61,10 +61,6 @@ class FisherMatrix:
     n: int = 1
 
     @property
-    def i21(self) -> float:
-        return self.i12
-
-    @property
     def det(self) -> float:
         return self.i11 * self.i22 - self.i12 * self.i12
 
@@ -118,16 +114,16 @@ def log_prior(kind: PriorKind, p: LomaxParams) -> float:
 
 
 def min_sample_size(kind: PriorKind) -> int:
-    """Smallest n for which the posterior under ``kind`` is proper.
+    """Smallest n that :func:`check_propriety` accepts under ``kind``.
 
-    The 1/(alpha beta) posterior is improper at n=1 and proper for n>1;
-    the dependent Jeffreys posterior is proper from n=1 on.
+    The 1/(alpha beta) priors need n >= 2, though their posterior is improper
+    at every n; the dependent Jeffreys prior runs from n = 1.
     """
     return 1 if kind is PriorKind.JEFFREYS_DEPENDENT else 2
 
 
 def check_propriety(kind: PriorKind, n: int) -> None:
-    """Raise :class:`ImproperPosteriorError` unless the posterior is proper."""
+    """Raise :class:`ImproperPosteriorError` when n is below :func:`min_sample_size`."""
     need = min_sample_size(kind)
     if n < need:
         raise ImproperPosteriorError(

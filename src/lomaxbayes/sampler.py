@@ -57,7 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import log_ndtr
 
-from .distribution import Dataset
+from .distribution import Dataset, _check_positive_finite
 from .priors import PriorKind, check_propriety, log_prior_alpha
 
 __all__ = [
@@ -87,11 +87,6 @@ _SEED_MASK = (1 << 64) - 1
 #
 # A larger n only lowers the crossover.
 _FORK_MIN_ITERATIONS = 2000
-
-
-def _check_positive_finite(name: str, value) -> None:
-    if not (math.isfinite(value) and value > 0.0):
-        raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
 class DegenerateDataError(ValueError):
@@ -133,9 +128,6 @@ class McmcConfig:
     chains: int = 2
     tuning: float = 1.0
     seed: int = 0
-    init_alpha: float | None = None
-    init_beta: float | None = None
-    store_lambda_traces: bool = False
 
     def __post_init__(self):
         if self.iterations < 1:
@@ -147,11 +139,8 @@ class McmcConfig:
         if self.chains < 1:
             raise ValueError("chains must be >= 1")
         _check_positive_finite("tuning", self.tuning)
-        for name in ("init_alpha", "init_beta"):
-            if getattr(self, name) is not None:
-                _check_positive_finite(name, getattr(self, name))
-        if self.retained < 1:
-            raise ValueError("no retained draws: need iterations - burn_in >= thin")
+        if self.retained < 2:  # summaries and the PSRF need 2 draws per chain
+            raise ValueError(f"need >= 2 retained draws per chain, got {self.retained}")
 
     @property
     def retained(self) -> int:
@@ -175,12 +164,6 @@ class Chain:
     chain_index: int
     seed: int
     config: McmcConfig
-    lambda_draws: np.ndarray | None = None
-
-    @property
-    def draws(self) -> np.ndarray:
-        """Retained (alpha, beta) pairs, shape (retained, 2)."""
-        return np.column_stack([self.alpha, self.beta])
 
 
 @dataclass(frozen=True)
@@ -337,8 +320,8 @@ def mh_step_alpha(
 def run_chain(d: Dataset, kind: PriorKind, cfg: McmcConfig, chain_index: int = 0) -> Chain:
     """Run one chain of the Gibbs sampler and return its retained draws.
 
-    Deterministic given (cfg.seed, chain_index).  Initial alpha and beta
-    are unit-exponential draws unless pinned in the config.
+    Deterministic given (cfg.seed, chain_index).  Initial alpha and then
+    beta are unit-exponential draws from the chain's generator.
     """
     check_propriety(kind, d.n)
     if not np.any(d.x > 0.0):
@@ -346,8 +329,8 @@ def run_chain(d: Dataset, kind: PriorKind, cfg: McmcConfig, chain_index: int = 0
 
     seed = (cfg.seed ^ (chain_index + 1)) & _SEED_MASK
     rng = np.random.default_rng(seed)
-    alpha0 = cfg.init_alpha if cfg.init_alpha is not None else float(rng.gamma(1.0))
-    beta0 = cfg.init_beta if cfg.init_beta is not None else float(rng.gamma(1.0))
+    alpha0 = float(rng.gamma(1.0))
+    beta0 = float(rng.gamma(1.0))
     state = AugmentedState(alpha=alpha0, beta=beta0, lam=np.ones(d.n))
     # the latents and a scratch vector live in these two buffers for the
     # whole chain; retained draws are copied out of them
@@ -357,7 +340,6 @@ def run_chain(d: Dataset, kind: PriorKind, cfg: McmcConfig, chain_index: int = 0
     alpha_out = np.empty(retained)
     beta_out = np.empty(retained)
     lam_sum = np.zeros(d.n)
-    lam_trace = np.empty((retained, d.n)) if cfg.store_lambda_traces else None
     accepted = 0
     k = 0
 
@@ -375,8 +357,6 @@ def run_chain(d: Dataset, kind: PriorKind, cfg: McmcConfig, chain_index: int = 0
             alpha_out[k] = state.alpha
             beta_out[k] = state.beta
             lam_sum += lam
-            if lam_trace is not None:
-                lam_trace[k] = lam
             k += 1
 
     assert k == retained
@@ -389,7 +369,6 @@ def run_chain(d: Dataset, kind: PriorKind, cfg: McmcConfig, chain_index: int = 0
         chain_index=chain_index,
         seed=seed,
         config=cfg,
-        lambda_draws=lam_trace,
     )
 
 

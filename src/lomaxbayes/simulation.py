@@ -209,6 +209,8 @@ def run_study(
     serially.  With ``n_jobs > 1`` replicates are fitted in worker
     processes; results are reduced in (prior, n, j) order either way.
     """
+    if n_jobs < 1:
+        raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
     m = cfg.replications
     cells = [(kind, n) for kind in cfg.priors for n in cfg.sample_sizes]
     keys = [(kind, n, j) for kind, n in cells for j in range(m)]

@@ -214,6 +214,14 @@ class TestFitCommand:
         # invalid run configuration (burn-in beyond iterations)
         assert main(["fit", data, "--iters", "10", "--burnin", "100"]) == EXIT_USAGE
 
+    def test_one_retained_draw_exits_1_before_writing(self, tmp_path, capsys):
+        data = _make_data_file(tmp_path)
+        out = tmp_path / "out"
+        flags = ["--iters", "1", "--burnin", "0", "--thin", "1", "--chains", "1", "--out", str(out)]
+        assert main(["fit", data] + flags) == EXIT_USAGE
+        assert "got 1" in capsys.readouterr().err
+        assert not out.exists()
+
 
 SIM_FLAGS = [
     "--replications", "2", "--sizes", "6", "--prior", "reference", "--quiet",
@@ -229,6 +237,28 @@ class TestSimulateCommand:
         assert lines[0].startswith("prior,n,parameter")
         assert len(lines) == 1 + 2  # one (prior, n) cell, two parameters
         assert "rmse" in capsys.readouterr().out
+
+    def test_failed_replicate_exits_1_without_traceback(self, tmp_path, capsys):
+        # beta = 1e300 overflows the sampled data to inf, which Dataset rejects
+        flags = ["--beta", "1e300", "--alpha", "0.1", "--sizes", "50", "--replications", "2",
+                 "--prior", "jeffreys", "--iters", "300", "--burnin", "100", "--thin", "2",
+                 "--quiet", "--out", str(tmp_path / "sim")]
+        with np.errstate(over="ignore"):
+            assert main(["simulate"] + flags) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "replicate 0 failed for prior=jeffreys, n=50: observations must be finite" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flags", [
+        ["--jobs", "0"],
+        ["--jobs", "-3"],
+        ["--iters", "2", "--burnin", "1", "--thin", "1"],  # one retained draw
+    ])
+    def test_invalid_settings_exit_1_before_writing(self, tmp_path, flags):
+        out = tmp_path / "sim"
+        argv = ["simulate"] + SIM_FLAGS + flags + ["--out", str(out)]
+        assert main(argv) == EXIT_USAGE
+        assert not out.exists()
 
     def test_byte_identical_reruns(self, tmp_path):
         out1, out2 = tmp_path / "s1", tmp_path / "s2"

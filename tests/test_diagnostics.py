@@ -1,5 +1,6 @@
 """Summaries, PSRF, acceptance rate and outlier scoring."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -151,9 +152,14 @@ class TestOutlierScores:
         means = (alpha + 1.0) / (1.0 + xs / beta)
         assert np.all(np.diff(means) < 0)
 
-    def test_thresholds_are_overridable(self):
-        x = sample(LomaxParams(2.0, 1.5), np.random.default_rng(57), 40).x
-        d, cs = self._fit(x, seed=3)
-        loose = outlier_scores(cs, d, score_percentile=60.0, data_percentile=40.0)
-        strict = outlier_scores(cs, d, score_percentile=1.0, data_percentile=99.0)
-        assert loose.flagged.sum() >= strict.flagged.sum()
+    def test_cuts_are_5th_score_and_95th_data_percentiles(self):
+        # at n = 101 both percentiles are order statistics: the cuts keep the
+        # 5 lowest scores and the x above 95, so moving either cut by one
+        # percentile point changes the flagged set
+        d = Dataset(np.arange(101.0))  # observation i has x = i
+        lowest = [95, 0, 100, 99, 96, 98]  # in order of rising score
+        order = lowest + [i for i in range(101) if i not in lowest]
+        scores = np.empty(101)
+        scores[order] = np.arange(101.0)
+        cs = ChainSet((dataclasses.replace(_chain([1.0, 2.0]), lambda_means=scores),))
+        assert np.flatnonzero(outlier_scores(cs, d).flagged).tolist() == [96, 99, 100]

@@ -80,7 +80,7 @@ class TestMcmcConfig:
         dict(iterations=100, burn_in=0, thin=1, chains=0),
         dict(iterations=100, burn_in=0, thin=1, tuning=0.0),
         dict(iterations=100, burn_in=99, thin=2),  # zero retained draws
-        dict(iterations=100, burn_in=0, thin=1, init_alpha=-1.0),
+        dict(iterations=100, burn_in=99, thin=1),  # one retained draw
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
@@ -281,20 +281,6 @@ class TestRunChain:
         assert c.lambda_means.shape == (20,)
         assert np.all(c.lambda_means > 0)
 
-    def test_pinned_initial_values_are_used(self):
-        d = _data(6)
-        cfg = McmcConfig(iterations=10, burn_in=1, thin=1, seed=3,
-                         init_alpha=2.5, init_beta=0.7)
-        c = run_chain(d, PriorKind.REFERENCE, cfg)
-        assert c.alpha.size == 9
-
-    def test_lambda_traces_toggle(self):
-        d = _data(6)
-        cfg = McmcConfig(iterations=100, burn_in=20, thin=4, seed=3, store_lambda_traces=True)
-        c = run_chain(d, PriorKind.REFERENCE, cfg)
-        assert c.lambda_draws.shape == (20, 6)
-        np.testing.assert_allclose(c.lambda_draws.mean(axis=0), c.lambda_means, rtol=1e-12)
-
     def test_propriety_guard(self):
         d = Dataset([1.0])
         cfg = McmcConfig(iterations=100, burn_in=10, thin=1, seed=0)
@@ -385,10 +371,10 @@ def _allocating_chain(d, kind, cfg, chain_index=0):
         return -d.n * math.lgamma(a) + (a - 1.0) * sum_log_lam + log_prior_alpha(kind, a)
 
     rng = np.random.default_rng((cfg.seed ^ (chain_index + 1)) & ((1 << 64) - 1))
-    alpha = cfg.init_alpha if cfg.init_alpha is not None else float(rng.gamma(1.0))
-    beta = cfg.init_beta if cfg.init_beta is not None else float(rng.gamma(1.0))
+    alpha = float(rng.gamma(1.0))
+    beta = float(rng.gamma(1.0))
     tuning = cfg.tuning
-    alphas, betas, lams = [], [], []
+    alphas, betas, lam_sum = [], [], np.zeros(d.n)
     accepted = 0
     for it in range(cfg.iterations):
         lam = rng.gamma(alpha + 1.0, 1.0 / (1.0 + d.x / beta))
@@ -410,11 +396,8 @@ def _allocating_chain(d, kind, cfg, chain_index=0):
         if it >= cfg.burn_in and (it - cfg.burn_in + 1) % cfg.thin == 0:
             alphas.append(alpha)
             betas.append(beta)
-            lams.append(lam)
-    lam_sum = np.zeros(d.n)
-    for lam in lams:
-        lam_sum += lam
-    return np.array(alphas), np.array(betas), lam_sum / len(lams), np.array(lams), accepted
+            lam_sum += lam
+    return np.array(alphas), np.array(betas), lam_sum / len(alphas), accepted
 
 
 # the 1/(alpha beta) density needs n >= 2, so n = 1 runs only under dependent Jeffreys
@@ -430,25 +413,19 @@ class TestBufferedKernelIdentity:
     """run_chain's in-place kernel gives the allocating loop's bits exactly."""
 
     @pytest.mark.parametrize("tuning", [1.0, 0.3])
-    @pytest.mark.parametrize("store", [False, True])
-    @pytest.mark.parametrize("init", [None, (2.5, 0.7)])
+    @pytest.mark.parametrize("thin", [5, 1])
+    @pytest.mark.parametrize("chain_index", [1, 0])
     @pytest.mark.parametrize("kind,n", _IDENTITY_CASES)
-    def test_matches_allocating_loop_bitwise(self, kind, n, init, store, tuning):
+    def test_matches_allocating_loop_bitwise(self, kind, n, chain_index, thin, tuning):
         d = _data(n, seed=n)
-        cfg = McmcConfig(iterations=600, burn_in=100, thin=5, seed=2718, tuning=tuning,
-                         init_alpha=init and init[0], init_beta=init and init[1],
-                         store_lambda_traces=store)
-        c = run_chain(d, kind, cfg, chain_index=1)
-        alpha, beta, lam_means, lam_draws, accepted = _allocating_chain(d, kind, cfg, 1)
+        cfg = McmcConfig(iterations=600, burn_in=100, thin=thin, seed=2718, tuning=tuning)
+        c = run_chain(d, kind, cfg, chain_index=chain_index)
+        alpha, beta, lam_means, accepted = _allocating_chain(d, kind, cfg, chain_index)
         assert 0 < accepted < cfg.iterations
         assert c.accepted == accepted
         assert c.alpha.tobytes() == alpha.tobytes()
         assert c.beta.tobytes() == beta.tobytes()
         assert c.lambda_means.tobytes() == lam_means.tobytes()
-        if store:
-            assert c.lambda_draws.tobytes() == lam_draws.tobytes()
-        else:
-            assert c.lambda_draws is None
 
     def test_retained_draws_do_not_alias_the_buffer(self, monkeypatch):
         buffers = []
@@ -460,15 +437,13 @@ class TestBufferedKernelIdentity:
 
         monkeypatch.setattr(sampler, "sample_lambda", spy)
         d = _data(8)
-        cfg = McmcConfig(iterations=60, burn_in=10, thin=5, seed=4, store_lambda_traces=True)
+        cfg = McmcConfig(iterations=60, burn_in=10, thin=5, seed=4)
         c = run_chain(d, PriorKind.REFERENCE, cfg)
         # one pair of buffers for the whole chain
         assert len(buffers) == 60
         assert all(b[0] is buffers[0][0] and b[1] is buffers[0][1] for b in buffers)
         for buf in buffers[0]:
-            assert not np.shares_memory(c.lambda_draws, buf)
             assert not np.shares_memory(c.lambda_means, buf)
-        assert len({row.tobytes() for row in c.lambda_draws}) == c.lambda_draws.shape[0]
 
 
 class TestMixingBehavior:

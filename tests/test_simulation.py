@@ -124,6 +124,15 @@ class TestRunStudyHarness:
         with pytest.raises(RuntimeError, match="replicate 0 failed .*n=5"):
             run_study(cfg, fit_fn=fit)
 
+    @pytest.mark.parametrize("n_jobs", [0, -3])
+    def test_rejects_fewer_than_one_job(self, n_jobs):
+        cfg = StudyConfig(
+            true_params=TRUTH, sample_sizes=(5,), replications=1,
+            priors=(PriorKind.REFERENCE,), mcmc=FAST_MCMC, seed=1,
+        )
+        with pytest.raises(ValueError, match="n_jobs"):
+            run_study(cfg, n_jobs=n_jobs)
+
 
 class TestRunStudyEndToEnd:
     @staticmethod
