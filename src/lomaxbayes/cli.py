@@ -204,7 +204,7 @@ def _add_mcmc_flags(p, defaults: McmcConfig):
         "up to one per CPU, else one after another",
     )
     p.add_argument("--tuning", type=float, default=defaults.tuning, help="shape proposal SD")
-    p.add_argument("--seed", type=int, default=defaults.seed, help="master seed")
+    p.add_argument("--seed", type=int, default=defaults.seed, help="non-negative master seed")
     p.add_argument(
         "--out",
         default=os.environ.get(OUTDIR_ENV, "."),
@@ -241,7 +241,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sim.add_argument("--beta", type=float, default=2.0, help="true scale")
     sim.add_argument("--alpha", type=float, default=1.5, help="true shape")
-    sim.add_argument("--jobs", type=int, default=1, help="worker processes")
+    sim.add_argument(
+        "--jobs", type=int, default=1, help="worker processes, at most one per usable CPU"
+    )
     sim.add_argument("--quiet", action="store_true", help="suppress progress lines")
     _add_mcmc_flags(sim, StudyConfig.mcmc)
     sim.set_defaults(func=cmd_simulate)

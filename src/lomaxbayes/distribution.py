@@ -139,7 +139,9 @@ def sample(p: LomaxParams, rng: np.random.Generator, n: int) -> Dataset:
     if n < 1:
         raise ValueError("n must be >= 1")
     u = 1.0 - rng.random(int(n))  # in (0, 1]
-    return Dataset(p.beta * np.expm1(-np.log(u) / p.alpha))
+    with np.errstate(over="ignore"):  # Dataset rejects the inf an overflow gives
+        x = p.beta * np.expm1(-np.log(u) / p.alpha)
+    return Dataset(x)
 
 
 def sample_hierarchical(p: LomaxParams, rng: np.random.Generator, n: int) -> Dataset:

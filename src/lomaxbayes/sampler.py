@@ -17,8 +17,9 @@ updates, in this order:
    of its current alpha from step to step and computes them only for a
    proposal; alpha changes on a minority of steps.
 
-Chains are reproducible: chain i seeds its own generator with
-``seed XOR (i+1)``, so results do not depend on execution order.
+Chain i of master seed s draws from ``SeedSequence(s, spawn_key=(i,))``,
+child i of ``SeedSequence(s).spawn``, so no chain depends on execution order
+and distinct master seeds give independent streams.
 
 The latent draw equals ``rng.gamma(alpha + 1, 1/rate)`` bit for bit and
 leaves the generator in the same state: numpy's ``Generator.gamma(shape,
@@ -73,8 +74,6 @@ __all__ = [
     "run_chain",
     "run_chains",
 ]
-
-_SEED_MASK = (1 << 64) - 1
 
 # Fewest iterations per chain at which run_chains forks worker processes: a
 # fork costs 15-30 ms and each forked chain's result is pickled back, so
@@ -139,6 +138,8 @@ class McmcConfig:
         if self.chains < 1:
             raise ValueError("chains must be >= 1")
         _check_positive_finite("tuning", self.tuning)
+        if self.seed < 0:  # SeedSequence takes non-negative integers only
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.retained < 2:  # summaries and the PSRF need 2 draws per chain
             raise ValueError(f"need >= 2 retained draws per chain, got {self.retained}")
 
@@ -162,7 +163,6 @@ class Chain:
     accepted: int
     proposed: int
     chain_index: int
-    seed: int
     config: McmcConfig
 
 
@@ -327,8 +327,7 @@ def run_chain(d: Dataset, kind: PriorKind, cfg: McmcConfig, chain_index: int = 0
     if not np.any(d.x > 0.0):
         raise DegenerateDataError("all observations are zero")
 
-    seed = (cfg.seed ^ (chain_index + 1)) & _SEED_MASK
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(chain_index,)))
     alpha0 = float(rng.gamma(1.0))
     beta0 = float(rng.gamma(1.0))
     state = AugmentedState(alpha=alpha0, beta=beta0, lam=np.ones(d.n))
@@ -367,7 +366,6 @@ def run_chain(d: Dataset, kind: PriorKind, cfg: McmcConfig, chain_index: int = 0
         accepted=accepted,
         proposed=cfg.iterations,
         chain_index=chain_index,
-        seed=seed,
         config=cfg,
     )
 

@@ -25,7 +25,8 @@ import numpy as np
 from .diagnostics import SummaryStats, acceptance_rate, gelman_rubin, summarize
 from .distribution import Dataset, LomaxParams, sample
 from .priors import PriorKind, check_propriety
-from .sampler import _SEED_MASK, ChainSet, McmcConfig, run_chains
+from . import sampler
+from .sampler import ChainSet, McmcConfig, run_chains
 
 __all__ = [
     "StudyConfig",
@@ -63,6 +64,8 @@ class StudyConfig:
         object.__setattr__(self, "priors", tuple(self.priors))
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not self.sample_sizes:
             raise ValueError("need at least one sample size")
         if any(n < 2 for n in self.sample_sizes):
@@ -161,12 +164,12 @@ def rmse(estimates, truth: float) -> float:
 
 def _dataset_seed(master: int, n: int, j: int) -> np.random.SeedSequence:
     # keyed by (n, j) only, so every prior fits the same replicate data
-    return np.random.SeedSequence([master & _SEED_MASK, 1, n, j])
+    return np.random.SeedSequence([master, 1, n, j])
 
 
 def _mcmc_seed(master: int, kind: PriorKind, n: int, j: int) -> int:
     kind_index = list(PriorKind).index(kind)
-    ss = np.random.SeedSequence([master & _SEED_MASK, 2, kind_index, n, j])
+    ss = np.random.SeedSequence([master, 2, kind_index, n, j])
     return int(ss.generate_state(1, np.uint64)[0])
 
 
@@ -206,19 +209,21 @@ def run_study(
 
     ``fit_fn(dataset, kind, mcmc) -> ReplicateFit`` replaces the Gibbs
     fit when given (stubs for harness tests); custom fit functions run
-    serially.  With ``n_jobs > 1`` replicates are fitted in worker
-    processes; results are reduced in (prior, n, j) order either way.
+    serially.  Otherwise w = min(n_jobs, usable CPUs, replicates) worker
+    processes fit the replicates when w > 1, and the caller fits them when
+    w = 1; results are reduced in (prior, n, j) order either way.
     """
     if n_jobs < 1:
         raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
     m = cfg.replications
     cells = [(kind, n) for kind in cfg.priors for n in cfg.sample_sizes]
     keys = [(kind, n, j) for kind, n in cells for j in range(m)]
-    use_pool = fit_fn is None and n_jobs > 1
+    w = min(n_jobs, sampler._usable_cpus(), len(keys))
+    use_pool = fit_fn is None and w > 1
     fit_fn = fit_fn or fit_replicate
 
     fits: dict[tuple, ReplicateFit] = {}
-    with ProcessPoolExecutor(max_workers=n_jobs) if use_pool else nullcontext() as pool:
+    with ProcessPoolExecutor(max_workers=w) if use_pool else nullcontext() as pool:
         if use_pool:
             calls = [pool.submit(_fit_one, cfg, *key, fit_fn).result for key in keys]
         else:

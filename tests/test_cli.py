@@ -1,6 +1,7 @@
 """Dataset parsing, artifact writing, exit codes and reproducibility."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -214,6 +215,29 @@ class TestFitCommand:
         # invalid run configuration (burn-in beyond iterations)
         assert main(["fit", data, "--iters", "10", "--burnin", "100"]) == EXIT_USAGE
 
+    def test_negative_seed_exits_1_before_writing(self, tmp_path, capsys):
+        data = _make_data_file(tmp_path)
+        out = tmp_path / "out"
+        assert main(["fit", data] + FIT_FLAGS + ["--seed", "-1", "--out", str(out)]) == EXIT_USAGE
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_seeds_0_and_3_share_no_chain(self, tmp_path):
+        # a rule seeding chain i with seed ^ (i + 1) gives masters 0 and 3 the
+        # same two chains under swapped labels: compare chains, not labels
+        data = _make_data_file(tmp_path)
+        chains = []
+        for seed in ("0", "3"):
+            out = tmp_path / f"seed{seed}"
+            assert main(["fit", data] + FIT_FLAGS + ["--seed", seed, "--out", str(out)]) == EXIT_OK
+            by_chain = {}
+            for line in (out / "trace.csv").read_text().splitlines()[1:]:
+                chain, draw = line.split(",", 1)
+                by_chain.setdefault(chain, []).append(draw)
+            chains.append({tuple(draws) for draws in by_chain.values()})
+        assert len(chains[0]) == len(chains[1]) == 2
+        assert not chains[0] & chains[1]
+
     def test_one_retained_draw_exits_1_before_writing(self, tmp_path, capsys):
         data = _make_data_file(tmp_path)
         out = tmp_path / "out"
@@ -243,7 +267,8 @@ class TestSimulateCommand:
         flags = ["--beta", "1e300", "--alpha", "0.1", "--sizes", "50", "--replications", "2",
                  "--prior", "jeffreys", "--iters", "300", "--burnin", "100", "--thin", "2",
                  "--quiet", "--out", str(tmp_path / "sim")]
-        with np.errstate(over="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
             assert main(["simulate"] + flags) == EXIT_USAGE
         err = capsys.readouterr().err
         assert "replicate 0 failed for prior=jeffreys, n=50: observations must be finite" in err
@@ -253,6 +278,7 @@ class TestSimulateCommand:
         ["--jobs", "0"],
         ["--jobs", "-3"],
         ["--iters", "2", "--burnin", "1", "--thin", "1"],  # one retained draw
+        ["--seed", "-1"],
     ])
     def test_invalid_settings_exit_1_before_writing(self, tmp_path, flags):
         out = tmp_path / "sim"

@@ -33,7 +33,6 @@ def _chain(alpha, beta=None, accepted=0, proposed=1, index=0):
         accepted=accepted,
         proposed=proposed,
         chain_index=index,
-        seed=index + 1,
         config=cfg,
     )
 

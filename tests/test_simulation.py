@@ -16,6 +16,7 @@ from lomaxbayes import (
     rmse,
     run_study,
     sampler,
+    simulation,
 )
 from lomaxbayes.simulation import CSV_COLUMNS
 
@@ -63,6 +64,8 @@ class TestStudyConfig:
             StudyConfig(true_params=TRUTH, sample_sizes=(1,))
         with pytest.raises(ValueError):
             StudyConfig(true_params=TRUTH, priors=())
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            StudyConfig(true_params=TRUTH, seed=-1)
 
     def test_defaults_follow_study_design(self):
         cfg = StudyConfig(true_params=TRUTH)
@@ -153,6 +156,32 @@ class TestRunStudyEndToEnd:
         r1 = run_study(self._small_cfg(), n_jobs=1)
         r2 = run_study(self._small_cfg(), n_jobs=2)
         assert r1.rows == r2.rows
+
+    @pytest.mark.parametrize("n_jobs,cpus,replications,pools", [
+        (64, 2, 3, [2]),  # capped by the usable CPUs
+        (64, 8, 2, [2]),  # capped by the replicates
+        (4, 1, 3, []),  # one worker: the caller fits every replicate
+    ])
+    def test_workers_capped_by_cpus_and_replicates(
+        self, monkeypatch, n_jobs, cpus, replications, pools
+    ):
+        seen = []
+
+        class SpyPool(simulation.ProcessPoolExecutor):
+            # records the request but starts at most 2 processes
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+                super().__init__(max_workers=min(max_workers, 2))
+
+        monkeypatch.setattr(simulation, "ProcessPoolExecutor", SpyPool)
+        monkeypatch.setattr(sampler, "_usable_cpus", lambda: cpus)
+        cfg = StudyConfig(
+            true_params=TRUTH, sample_sizes=(6,), replications=replications,
+            priors=(PriorKind.REFERENCE,), mcmc=FAST_MCMC, seed=11,
+        )
+        report = run_study(cfg, n_jobs=n_jobs)
+        assert seen == pools
+        assert report.rows == run_study(cfg).rows
 
     def test_forked_chains_match_serial_workers(self, monkeypatch, process_pools):
         # n_jobs=1 forks each replicate's chains; n_jobs=2 workers run theirs serially
