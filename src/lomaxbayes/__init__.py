@@ -2,9 +2,9 @@
 
 Closed-form distribution functions, Jeffreys/reference priors, a
 data-augmented Metropolis-Hastings-within-Gibbs sampler, convergence
-diagnostics, and a Monte Carlo bias/rmse study harness.  The single
-Gibbs steps (``sample_lambda``, ``sample_beta``, ``mh_step_alpha``,
-``run_chain``) are importable from :mod:`lomaxbayes.sampler`.
+diagnostics, and a Monte Carlo bias/rmse study harness.  One chain
+(``run_chain``) and its two Gibbs draws (``sample_lambda``,
+``sample_beta``) are importable from :mod:`lomaxbayes.sampler`.
 """
 
 from .diagnostics import (

@@ -61,31 +61,35 @@ def parse_dataset(path) -> Dataset:
     """
     values: list[float] = []
     saw_candidate = False
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = [f.strip() for f in line.split(",") if f.strip()]
-            if len(fields) != 1:
-                raise DataFormatError(
-                    f"{path}: line {lineno}: expected one value, got {len(fields)}"
-                )
-            first_candidate = not saw_candidate
-            saw_candidate = True
-            try:
-                value = float(fields[0])
-            except ValueError:
-                if first_candidate:
-                    continue  # header row
-                raise DataFormatError(
-                    f"{path}: line {lineno}: unparsable value {fields[0]!r}"
-                ) from None
-            if not math.isfinite(value):
-                raise DataFormatError(f"{path}: line {lineno}: non-finite value")
-            if value < 0.0:
-                raise DataFormatError(f"{path}: line {lineno}: negative value {value}")
-            values.append(value)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.strip()
+                if not line or line.startswith("#"):
+                    continue
+                fields = [f.strip() for f in line.split(",") if f.strip()]
+                if len(fields) != 1:
+                    raise DataFormatError(
+                        f"{path}: line {lineno}: expected one value, got {len(fields)}"
+                    )
+                first_candidate = not saw_candidate
+                saw_candidate = True
+                try:
+                    value = float(fields[0])
+                except ValueError:
+                    if first_candidate:
+                        continue  # header row
+                    raise DataFormatError(
+                        f"{path}: line {lineno}: unparsable value {fields[0]!r}"
+                    ) from None
+                if not math.isfinite(value):
+                    raise DataFormatError(f"{path}: line {lineno}: non-finite value")
+                if value < 0.0:
+                    raise DataFormatError(f"{path}: line {lineno}: negative value {value}")
+                values.append(value)
+    except UnicodeDecodeError as exc:
+        # a ValueError, which would otherwise read as a usage error
+        raise DataFormatError(f"{path}: not UTF-8 text: {exc}") from None
     if not values:
         raise DataFormatError(f"{path}: empty dataset")
     return Dataset(np.array(values))

@@ -1,6 +1,7 @@
 """Data-augmented Metropolis-Hastings-within-Gibbs sampler for the Lomax model.
 
-The chain state is (alpha, beta, lambda_1..lambda_n).  Each iteration
+The chain state is (alpha, beta, lambda_1..lambda_n).  ``run_chain`` keeps
+it in local variables and hands each stage plain values; each iteration
 updates, in this order:
 
 1. ``lambda_i | alpha, beta  ~  Gamma(alpha + 1, rate 1 + x_i/beta)``,
@@ -62,15 +63,12 @@ from .distribution import Dataset, _check_positive_finite
 from .priors import PriorKind, check_propriety, log_prior_alpha
 
 __all__ = [
-    "AugmentedState",
     "McmcConfig",
     "Chain",
     "ChainSet",
     "DegenerateDataError",
     "sample_lambda",
     "sample_beta",
-    "log_alpha_conditional",
-    "mh_step_alpha",
     "run_chain",
     "run_chains",
 ]
@@ -90,26 +88,6 @@ _FORK_MIN_ITERATIONS = 2000
 
 class DegenerateDataError(ValueError):
     """All observations are zero, so the scale conditional is degenerate."""
-
-
-@dataclass
-class AugmentedState:
-    """Current (alpha, beta, lambda) of the augmented chain."""
-
-    alpha: float
-    beta: float
-    lam: np.ndarray
-
-    def __post_init__(self):
-        self.alpha = float(self.alpha)
-        self.beta = float(self.beta)
-        self.lam = np.asarray(self.lam, dtype=float)
-        _check_positive_finite("alpha", self.alpha)
-        _check_positive_finite("beta", self.beta)
-        if self.lam.ndim != 1 or self.lam.size < 1:
-            raise ValueError("lam must be a non-empty 1-D vector")
-        if not np.all(np.isfinite(self.lam)) or np.any(self.lam <= 0.0):
-            raise ValueError("all lambda components must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -209,35 +187,32 @@ class ChainSet:
 
 
 def sample_lambda(
-    state: AugmentedState,
+    alpha: float,
+    beta: float,
     d: Dataset,
     rng: np.random.Generator,
-    out: np.ndarray | None = None,
-    work: np.ndarray | None = None,
+    out: np.ndarray,
+    work: np.ndarray,
 ) -> np.ndarray:
     """One Gibbs draw of all latents: lambda_i ~ Gamma(alpha+1, 1 + x_i/beta).
 
     Drawn as ``standard_gamma(alpha+1) * 1/(1 + x_i/beta)``.  The scale
     goes into ``work`` and the draw into ``out``, which is returned; both
-    are length-n float arrays and are allocated when not given.  The bits
-    equal ``rng.gamma(alpha+1, 1/(1 + x/beta))``, which numpy computes as
-    the same product, and the generator ends in the same state.
+    are length-n float arrays.  The bits equal ``rng.gamma(alpha+1,
+    1/(1 + x/beta))``, which numpy computes as the same product, and the
+    generator ends in the same state.
     """
-    if out is None:
-        out = np.empty(d.n)
-    if work is None:
-        work = np.empty(d.n)
-    np.divide(d.x, state.beta, out=work)
+    np.divide(d.x, beta, out=work)
     work += 1.0
     np.reciprocal(work, out=work)
-    rng.standard_gamma(state.alpha + 1.0, out=out)
+    rng.standard_gamma(alpha + 1.0, out=out)
     out *= work
     return out
 
 
-def sample_beta(state: AugmentedState, d: Dataset, rng: np.random.Generator) -> float:
+def sample_beta(lam: np.ndarray, d: Dataset, rng: np.random.Generator) -> float:
     """One Gibbs draw of the scale: beta ~ InverseGamma(n, sum(lambda_i x_i))."""
-    s = float(state.lam.dot(d.x))
+    s = float(lam.dot(d.x))
     if s <= 0.0:
         raise DegenerateDataError(
             "sum(lambda_i * x_i) is zero; the scale conditional needs at least one x_i > 0"
@@ -254,19 +229,6 @@ def _alpha_terms(kind: PriorKind, a: float, n: int, tuning: float) -> tuple[floa
 
 def _log_conditional(terms: tuple[float, float, float], a: float, sum_log_lam: float) -> float:
     return terms[0] + (a - 1.0) * sum_log_lam + terms[1]
-
-
-def log_alpha_conditional(kind: PriorKind, alpha: float, lam) -> float:
-    """Unnormalized log complete conditional of the shape given the latents.
-
-        -n log Gamma(a) + (a-1) sum log lambda_i + log_prior_alpha(kind, a)
-    """
-    _check_positive_finite("alpha", alpha)
-    alpha = float(alpha)
-    lam = np.asarray(lam, dtype=float)
-    # any tuning will do: the truncation term is not part of the density
-    terms = _alpha_terms(kind, alpha, lam.size, 1.0)
-    return _log_conditional(terms, alpha, float(np.log(lam).sum()))
 
 
 def _mh_step_alpha(
@@ -297,43 +259,23 @@ def _mh_step_alpha(
     return current, terms, False
 
 
-def mh_step_alpha(
-    current: float,
-    kind: PriorKind,
-    lam,
-    tuning: float,
-    rng: np.random.Generator,
-) -> tuple[float, bool]:
-    """One Metropolis-Hastings update of the shape; returns (alpha, accepted)."""
-    _check_positive_finite("current alpha", current)
-    _check_positive_finite("tuning", tuning)
-    current, tuning = float(current), float(tuning)
-    lam = np.asarray(lam, dtype=float)
-    n = lam.size
-    terms = _alpha_terms(kind, current, n, tuning)
-    alpha, _, accepted = _mh_step_alpha(
-        current, terms, kind, n, float(np.log(lam).sum()), tuning, rng
-    )
-    return alpha, accepted
-
-
 def run_chain(d: Dataset, kind: PriorKind, cfg: McmcConfig, chain_index: int = 0) -> Chain:
     """Run one chain of the Gibbs sampler and return its retained draws.
 
     Deterministic given (cfg.seed, chain_index).  Initial alpha and then
-    beta are unit-exponential draws from the chain's generator.
+    beta are unit-exponential draws from the chain's generator; the
+    latents are drawn first, so they need no initial value.
     """
     check_propriety(kind, d.n)
     if not np.any(d.x > 0.0):
         raise DegenerateDataError("all observations are zero")
 
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(chain_index,)))
-    alpha0 = float(rng.gamma(1.0))
-    beta0 = float(rng.gamma(1.0))
-    state = AugmentedState(alpha=alpha0, beta=beta0, lam=np.ones(d.n))
+    alpha = float(rng.gamma(1.0))
+    beta = float(rng.gamma(1.0))
     # the latents and a scratch vector live in these two buffers for the
     # whole chain; retained draws are copied out of them
-    lam, work = state.lam, np.empty(d.n)
+    lam, work = np.empty(d.n), np.empty(d.n)
 
     retained = cfg.retained
     alpha_out = np.empty(retained)
@@ -343,18 +285,16 @@ def run_chain(d: Dataset, kind: PriorKind, cfg: McmcConfig, chain_index: int = 0
     k = 0
 
     n, burn_in, thin, tuning = d.n, cfg.burn_in, cfg.thin, cfg.tuning
-    terms = _alpha_terms(kind, state.alpha, n, tuning)
+    terms = _alpha_terms(kind, alpha, n, tuning)
     for it in range(cfg.iterations):
-        sample_lambda(state, d, rng, out=lam, work=work)
-        state.beta = sample_beta(state, d, rng)
+        sample_lambda(alpha, beta, d, rng, lam, work)
+        beta = sample_beta(lam, d, rng)
         sum_log_lam = float(np.add.reduce(np.log(lam, out=work)))
-        state.alpha, terms, acc = _mh_step_alpha(
-            state.alpha, terms, kind, n, sum_log_lam, tuning, rng
-        )
+        alpha, terms, acc = _mh_step_alpha(alpha, terms, kind, n, sum_log_lam, tuning, rng)
         accepted += acc
         if it >= burn_in and (it - burn_in + 1) % thin == 0:
-            alpha_out[k] = state.alpha
-            beta_out[k] = state.beta
+            alpha_out[k] = alpha
+            beta_out[k] = beta
             lam_sum += lam
             k += 1
 

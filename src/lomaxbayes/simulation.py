@@ -72,6 +72,11 @@ class StudyConfig:
             raise ValueError("all sample sizes must be >= 2")
         if not self.priors:
             raise ValueError("need at least one prior kind")
+        # a repeated cell would fit every replicate and write its rows again
+        if len(set(self.sample_sizes)) < len(self.sample_sizes):
+            raise ValueError(f"sample sizes must be distinct, got {self.sample_sizes}")
+        if len(set(self.priors)) < len(self.priors):
+            raise ValueError(f"priors must be distinct, got {tuple(k.value for k in self.priors)}")
         for kind in self.priors:
             check_propriety(kind, min(self.sample_sizes))
 

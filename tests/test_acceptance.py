@@ -32,8 +32,8 @@ from lomaxbayes import (
 )
 from lomaxbayes.cli import main
 from lomaxbayes.sampler import (
-    AugmentedState,
-    mh_step_alpha,
+    _alpha_terms,
+    _mh_step_alpha,
     run_chain,
     sample_beta,
     sample_lambda,
@@ -102,8 +102,9 @@ def test_criterion_03_conditional_samplers():
     for alpha, beta, x in ((1.0, 1.0, 1.0), (1.5, 2.0, 3.0), (2.5, 0.5, 0.2)):
         shape, rate = alpha + 1.0, 1.0 + x / beta
         d = Dataset(np.full(n_draws, x))
-        state = AugmentedState(alpha=alpha, beta=beta, lam=np.ones(n_draws))
-        draws = sample_lambda(state, d, np.random.default_rng(301))
+        draws = sample_lambda(
+            alpha, beta, d, np.random.default_rng(301), np.empty(n_draws), np.empty(n_draws)
+        )
         m, v = shape / rate, shape / rate**2
         ok &= abs(draws.mean() - m) < 3 * math.sqrt(v / n_draws)
         se_var = v * math.sqrt(2.0 / (n_draws - 1) + (6.0 / shape) / n_draws)
@@ -112,9 +113,9 @@ def test_criterion_03_conditional_samplers():
     # scale conditional: InverseGamma(n, total)
     for n, total in ((5, 8.0), (8, 4.0), (12, 18.0)):
         d = Dataset(np.ones(n))
-        state = AugmentedState(alpha=1.0, beta=1.0, lam=np.full(n, total / n))
+        lam = np.full(n, total / n)
         rng = np.random.default_rng(302)
-        draws = np.array([sample_beta(state, d, rng) for _ in range(n_draws)])
+        draws = np.array([sample_beta(lam, d, rng) for _ in range(n_draws)])
         m = total / (n - 1)
         v = total**2 / ((n - 1) ** 2 * (n - 2))
         kurt = (30 * n - 66.0) / ((n - 3) * (n - 4))
@@ -141,8 +142,9 @@ def test_criterion_04_mh_stationarity_oracle():
     steps = 200_000
     out = np.empty(steps)
     alpha = 1.0
+    terms = _alpha_terms(PriorKind.REFERENCE, alpha, lam.size, 1.0)
     for i in range(steps):
-        alpha, _ = mh_step_alpha(alpha, PriorKind.REFERENCE, lam, 1.0, rng)
+        alpha, terms, _ = _mh_step_alpha(alpha, terms, PriorKind.REFERENCE, lam.size, sum_log, 1.0, rng)
         out[i] = alpha
     n_batches = 400
     batch_means = out.reshape(n_batches, -1).mean(axis=1)

@@ -208,6 +208,16 @@ class TestFitCommand:
         missing = str(tmp_path / "nope.txt")
         assert main(["fit", missing, "--out", str(tmp_path)] + FIT_FLAGS) == EXIT_DATA
 
+    def test_non_utf8_file_exits_2_before_writing(self, tmp_path, capsys):
+        # UnicodeDecodeError is a ValueError: unconverted it reads as a usage error
+        data = tmp_path / "latin.txt"
+        data.write_bytes(b"1.0\n2.5\n\xff\xfe3\n")
+        out = tmp_path / "out"
+        assert main(["fit", str(data), "--out", str(out)] + FIT_FLAGS) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "data error" in err and f"{data}: not UTF-8 text" in err
+        assert not out.exists()
+
     def test_usage_error_exits_1(self, tmp_path):
         data = _make_data_file(tmp_path)
         assert main(["fit", data, "--prior", "flat"]) == EXIT_USAGE
@@ -279,6 +289,7 @@ class TestSimulateCommand:
         ["--jobs", "-3"],
         ["--iters", "2", "--burnin", "1", "--thin", "1"],  # one retained draw
         ["--seed", "-1"],
+        ["--sizes", "50", "50"],  # would fit and write the n = 50 cell twice
     ])
     def test_invalid_settings_exit_1_before_writing(self, tmp_path, flags):
         out = tmp_path / "sim"

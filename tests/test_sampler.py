@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.special import log_ndtr
+from scipy.stats import gamma as gamma_dist
 from scipy.stats import norm
 
 from lomaxbayes import (
@@ -22,10 +23,9 @@ from lomaxbayes import (
 from lomaxbayes import sampler
 from lomaxbayes.priors import log_prior_alpha
 from lomaxbayes.sampler import (
-    AugmentedState,
     _alpha_terms,
-    log_alpha_conditional,
-    mh_step_alpha,
+    _log_conditional,
+    _mh_step_alpha,
     run_chain,
     sample_beta,
     sample_lambda,
@@ -49,23 +49,6 @@ def _batch_means_se(chain, n_batches=400):
     return batch_means.std(ddof=1) / math.sqrt(n_batches)
 
 
-class TestAugmentedState:
-    def test_valid(self):
-        s = AugmentedState(alpha=1.5, beta=2.0, lam=[1.0, 2.0])
-        assert s.lam.shape == (2,)
-
-    @pytest.mark.parametrize("kwargs", [
-        dict(alpha=0.0, beta=1.0, lam=[1.0]),
-        dict(alpha=1.0, beta=-1.0, lam=[1.0]),
-        dict(alpha=1.0, beta=1.0, lam=[1.0, 0.0]),
-        dict(alpha=1.0, beta=1.0, lam=[math.nan]),
-        dict(alpha=math.inf, beta=1.0, lam=[1.0]),
-    ])
-    def test_invalid(self, kwargs):
-        with pytest.raises(ValueError):
-            AugmentedState(**kwargs)
-
-
 class TestMcmcConfig:
     def test_retained_arithmetic(self):
         assert McmcConfig(iterations=11000, burn_in=1000, thin=10).retained == 1000
@@ -79,6 +62,11 @@ class TestMcmcConfig:
         dict(iterations=100, burn_in=0, thin=0),
         dict(iterations=100, burn_in=0, thin=1, chains=0),
         dict(iterations=100, burn_in=0, thin=1, tuning=0.0),
+        # McmcConfig is the only guard on the shape step's tuning: unchecked,
+        # NaN would redraw forever, 0 divide by zero and -1 flip the walk
+        dict(iterations=100, burn_in=0, thin=1, tuning=-1.0),
+        dict(iterations=100, burn_in=0, thin=1, tuning=math.nan),
+        dict(iterations=100, burn_in=0, thin=1, tuning=math.inf),
         dict(iterations=100, burn_in=99, thin=2),  # zero retained draws
         dict(iterations=100, burn_in=99, thin=1),  # one retained draw
         dict(iterations=100, burn_in=0, thin=1, seed=-1),
@@ -99,8 +87,9 @@ class TestSampleLambda:
         shape = alpha + 1.0
         rate = 1.0 + x / beta
         d = Dataset(np.full(N_DRAWS, x))
-        state = AugmentedState(alpha=alpha, beta=beta, lam=np.ones(N_DRAWS))
-        draws = sample_lambda(state, d, np.random.default_rng(101))
+        draws = sample_lambda(
+            alpha, beta, d, np.random.default_rng(101), np.empty(N_DRAWS), np.empty(N_DRAWS)
+        )
         assert draws.shape == (N_DRAWS,)
         _assert_moments_within_3se(
             draws, mean=shape / rate, var=shape / rate**2, excess_kurtosis=6.0 / shape
@@ -108,15 +97,26 @@ class TestSampleLambda:
 
     def test_buffers_are_filled_and_returned(self):
         d = _data(40)
-        state = AugmentedState(alpha=1.3, beta=0.8, lam=np.ones(40))
-        fresh = sample_lambda(state, d, np.random.default_rng(7))
+        rng, ref = np.random.default_rng(7), np.random.default_rng(7)
         out, work = np.empty(40), np.empty(40)
-        got = sample_lambda(state, d, np.random.default_rng(7), out=out, work=work)
+        got = sample_lambda(1.3, 0.8, d, rng, out, work)
         assert got is out
         np.testing.assert_array_equal(work, 1.0 / (1.0 + d.x / 0.8))
-        assert fresh.tobytes() == out.tobytes()
-        # without buffers every call returns a new array, never the state's
-        assert not np.shares_memory(fresh, state.lam)
+        # the docstring's claim: rng.gamma's bits, and the same stream position
+        want = ref.gamma(1.3 + 1.0, 1.0 / (1.0 + d.x / 0.8))
+        assert out.tobytes() == want.tobytes()
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    # a shape just above 1, scales far below and above the data, and zeros
+    # in x, where the scale is exactly 1
+    @pytest.mark.parametrize("alpha,beta", [(1e-3, 1e-3), (0.5, 1.0), (40.0, 1e4)])
+    def test_draw_equals_rng_gamma_bitwise(self, alpha, beta):
+        d = Dataset(np.array([0.0, 1e-6, 0.3, 2.0, 0.0, 75.0, 1e5]))
+        rng, ref = np.random.default_rng(11), np.random.default_rng(11)
+        out = sample_lambda(alpha, beta, d, rng, np.empty(d.n), np.empty(d.n))
+        want = ref.gamma(alpha + 1.0, 1.0 / (1.0 + d.x / beta))
+        assert out.tobytes() == want.tobytes()
+        assert rng.bit_generator.state == ref.bit_generator.state
 
     def test_trivial_conditional_moments(self):
         # alpha=1, beta=1, x=1: Gamma(2, 2) has mean 1 and variance 0.5
@@ -130,9 +130,9 @@ class TestSampleBeta:
     def _draws(n, total, n_draws, seed):
         # lam @ x = total with x = 1 and lam = total/n
         d = Dataset(np.ones(n))
-        state = AugmentedState(alpha=1.0, beta=1.0, lam=np.full(n, total / n))
+        lam = np.full(n, total / n)
         rng = np.random.default_rng(seed)
-        return np.array([sample_beta(state, d, rng) for _ in range(n_draws)])
+        return np.array([sample_beta(lam, d, rng) for _ in range(n_draws)])
 
     @pytest.mark.parametrize("n,total", [(5, 8.0), (8, 4.0), (12, 18.0)])
     def test_moments_within_3se(self, n, total):
@@ -150,27 +150,39 @@ class TestSampleBeta:
 
     def test_degenerate_data(self):
         d = Dataset(np.zeros(4))
-        state = AugmentedState(alpha=1.0, beta=1.0, lam=np.ones(4))
         with pytest.raises(DegenerateDataError):
-            sample_beta(state, d, np.random.default_rng(0))
+            sample_beta(np.ones(4), d, np.random.default_rng(0))
+
+
+def _shape_log_density(kind, a, lam):
+    # the density's terms do not involve the tuning, so any value will do
+    return _log_conditional(_alpha_terms(kind, a, len(lam), 1.0), a, float(np.log(lam).sum()))
 
 
 class TestAlphaConditional:
     def test_reference_values(self):
-        assert log_alpha_conditional(PriorKind.REFERENCE, 1.0, [1.0, 1.0]) == 0.0
-        assert log_alpha_conditional(PriorKind.REFERENCE, 2.0, [1.0, 1.0]) == pytest.approx(
+        assert _shape_log_density(PriorKind.REFERENCE, 1.0, [1.0, 1.0]) == 0.0
+        assert _shape_log_density(PriorKind.REFERENCE, 2.0, [1.0, 1.0]) == pytest.approx(
             -math.log(2.0), rel=1e-14
         )
 
     def test_dependent_value(self):
         expected = -math.log(2.0) - 0.5 * math.log(3.0)
-        got = log_alpha_conditional(PriorKind.JEFFREYS_DEPENDENT, 1.0, [1.0, 1.0])
+        got = _shape_log_density(PriorKind.JEFFREYS_DEPENDENT, 1.0, [1.0, 1.0])
         assert got == pytest.approx(expected, rel=1e-14)
 
-    @pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan, math.inf])
-    def test_rejects_alpha_not_positive_and_finite(self, alpha):
-        with pytest.raises(ValueError):
-            log_alpha_conditional(PriorKind.REFERENCE, alpha, [1.0])
+    @pytest.mark.parametrize("kind", list(PriorKind))
+    @pytest.mark.parametrize("a1,a2", [(0.4, 2.5), (1.0, 9.0)])
+    def test_differences_match_gamma_latents_times_prior(self, kind, a1, a2):
+        # lambda_i | alpha ~ Gamma(alpha, 1), so the conditional is, up to a
+        # constant in alpha, the latents' gamma likelihood times the prior
+        lam = np.array([0.3, 1.7, 4.0, 0.05])
+
+        def oracle(a):
+            return gamma_dist.logpdf(lam, a).sum() + log_prior_alpha(kind, a)
+
+        got = _shape_log_density(kind, a2, lam) - _shape_log_density(kind, a1, lam)
+        assert got == pytest.approx(oracle(a2) - oracle(a1), rel=1e-12)
 
 
 class _PinnedRng:
@@ -189,10 +201,27 @@ class _PinnedRng:
 
 class TestMhStepAlpha:
     def test_proposal_equal_to_current_always_accepted(self):
-        new, accepted = mh_step_alpha(
-            1.7, PriorKind.REFERENCE, [0.5, 2.0], 1.0, _PinnedRng(step=0.0, uniform=0.999)
+        kind, sum_log = PriorKind.REFERENCE, math.log(0.5) + math.log(2.0)
+        new, _, accepted = _mh_step_alpha(
+            1.7, _alpha_terms(kind, 1.7, 2, 1.0), kind, 2, sum_log, 1.0,
+            _PinnedRng(step=0.0, uniform=0.999),
         )
         assert accepted and new == 1.7
+
+    @pytest.mark.parametrize("kind", list(PriorKind))
+    @pytest.mark.parametrize("step,uniform,accept", [
+        (0.3, 1.0 - 1e-6, True),  # log u = -13.8 is below any ratio near 1.7
+        (30.0, 0.0, False),  # log u = 0 and alpha = 31.7 is far less likely
+    ])
+    def test_returns_the_terms_of_the_alpha_it_returns(self, kind, step, uniform, accept):
+        n, sum_log, tuning = 2, math.log(0.5) + math.log(2.0), 1.0
+        terms = _alpha_terms(kind, 1.7, n, tuning)
+        new, new_terms, accepted = _mh_step_alpha(
+            1.7, terms, kind, n, sum_log, tuning, _PinnedRng(step=step, uniform=uniform)
+        )
+        assert accepted is accept
+        assert new == (1.7 + step if accept else 1.7)
+        assert new_terms == _alpha_terms(kind, new, n, tuning)
 
     @staticmethod
     def _truncation_log_correction(current, proposal, tuning):
@@ -208,18 +237,6 @@ class TestMhStepAlpha:
     def test_truncation_correction_vanishes_far_from_zero(self):
         # both current and proposal many tuning sds above 0: Phi -> 1
         assert self._truncation_log_correction(40.0, 41.0, 1.0) == 0.0
-
-    @pytest.mark.parametrize("current", [0.0, -1.0, math.nan, math.inf])
-    def test_rejects_current_not_positive_and_finite(self, current):
-        # a NaN proposal is never > 0, so a NaN current would redraw forever
-        with pytest.raises(ValueError, match="current alpha"):
-            mh_step_alpha(current, PriorKind.REFERENCE, [1.0], 1.0, np.random.default_rng(0))
-
-    @pytest.mark.parametrize("tuning", [0.0, -1.0, math.nan, math.inf])
-    def test_rejects_tuning_not_positive_and_finite(self, tuning):
-        # unchecked, NaN would redraw forever, 0 divide by zero and -1 flip the walk
-        with pytest.raises(ValueError, match="tuning"):
-            mh_step_alpha(1.0, PriorKind.REFERENCE, [1.0], tuning, np.random.default_rng(0))
 
     def test_stationary_mean_matches_quadrature(self):
         # fixed latents: the chain must hold the conditional's mean
@@ -237,8 +254,9 @@ class TestMhStepAlpha:
         steps = 200_000
         out = np.empty(steps)
         alpha = 1.0
+        terms = _alpha_terms(PriorKind.REFERENCE, alpha, 2, 1.0)
         for i in range(steps):
-            alpha, _ = mh_step_alpha(alpha, PriorKind.REFERENCE, lam, 1.0, rng)
+            alpha, terms, _ = _mh_step_alpha(alpha, terms, PriorKind.REFERENCE, 2, sum_log, 1.0, rng)
             out[i] = alpha
         se = _batch_means_se(out)
         assert abs(out.mean() - target_mean) < 3 * se
@@ -431,9 +449,9 @@ class TestBufferedKernelIdentity:
         buffers = []
         orig = sampler.sample_lambda
 
-        def spy(state, d, rng, out=None, work=None):
+        def spy(alpha, beta, d, rng, out, work):
             buffers.append((out, work))
-            return orig(state, d, rng, out=out, work=work)
+            return orig(alpha, beta, d, rng, out, work)
 
         monkeypatch.setattr(sampler, "sample_lambda", spy)
         d = _data(8)

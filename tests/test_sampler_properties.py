@@ -9,7 +9,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from lomaxbayes import PriorKind  # noqa: E402
-from lomaxbayes.sampler import _alpha_terms, _mh_step_alpha, mh_step_alpha  # noqa: E402
+from lomaxbayes.sampler import _alpha_terms, _mh_step_alpha  # noqa: E402
 
 
 @settings(max_examples=200, deadline=None, database=None)
@@ -23,13 +23,16 @@ from lomaxbayes.sampler import _alpha_terms, _mh_step_alpha, mh_step_alpha  # no
     seed=st.integers(0, 2**64 - 1),
 )
 def test_carried_terms_are_those_of_the_current_alpha(kind, n, tuning, alpha, log_levels, seed):
-    carried, public = np.random.default_rng(seed), np.random.default_rng(seed)
+    carried, fresh = np.random.default_rng(seed), np.random.default_rng(seed)
     terms = _alpha_terms(kind, alpha, n, tuning)
     for level in log_levels:
-        lam = np.full(n, math.exp(level))
-        want = mh_step_alpha(alpha, kind, lam, tuning, public)
-        alpha, terms, accepted = _mh_step_alpha(
-            alpha, terms, kind, n, float(np.log(lam).sum()), tuning, carried
+        sum_log_lam = float(np.log(np.full(n, math.exp(level))).sum())
+        # the same step with every term recomputed for the current alpha
+        want, _, want_accepted = _mh_step_alpha(
+            alpha, _alpha_terms(kind, alpha, n, tuning), kind, n, sum_log_lam, tuning, fresh
         )
-        assert (alpha, accepted) == want
+        alpha, terms, accepted = _mh_step_alpha(
+            alpha, terms, kind, n, sum_log_lam, tuning, carried
+        )
+        assert (alpha, accepted) == (want, want_accepted)
         assert terms == _alpha_terms(kind, alpha, n, tuning)

@@ -66,6 +66,11 @@ class TestStudyConfig:
             StudyConfig(true_params=TRUTH, priors=())
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
             StudyConfig(true_params=TRUTH, seed=-1)
+        # a repeated cell would fit every replicate and write its rows again
+        with pytest.raises(ValueError, match=r"sample sizes must be distinct, got \(5, 5\)"):
+            StudyConfig(true_params=TRUTH, sample_sizes=(5, 5))
+        with pytest.raises(ValueError, match="priors must be distinct"):
+            StudyConfig(true_params=TRUTH, priors=(PriorKind.REFERENCE, PriorKind.REFERENCE))
 
     def test_defaults_follow_study_design(self):
         cfg = StudyConfig(true_params=TRUTH)
