@@ -62,7 +62,8 @@ def parse_dataset(path) -> Dataset:
     values: list[float] = []
     saw_candidate = False
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        # utf-8-sig drops a leading byte-order mark, which would pass for a header
+        with open(path, "r", encoding="utf-8-sig") as fh:
             for lineno, raw in enumerate(fh, start=1):
                 line = raw.strip()
                 if not line or line.startswith("#"):

@@ -1,11 +1,16 @@
 """Dataset parsing, artifact writing, exit codes and reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lomaxbayes
 from lomaxbayes import (
     DegenerateDataError,
     LomaxParams,
@@ -72,6 +77,18 @@ class TestParseDataset:
     def test_empty_dataset(self, tmp_path):
         with pytest.raises(DataFormatError, match="empty"):
             parse_dataset(_write(tmp_path, "# only a comment\n"))
+
+    def test_byte_order_mark_keeps_first_value(self, tmp_path):
+        path = tmp_path / "bom.txt"
+        path.write_bytes(b"\xef\xbb\xbf1.0\n2.5\n3.0\n")
+        d = parse_dataset(str(path))
+        assert d.n == 3
+        np.testing.assert_array_equal(d.x, [1.0, 2.5, 3.0])
+
+    def test_byte_order_mark_before_header_row(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbfsize\n10\n20\n")
+        np.testing.assert_array_equal(parse_dataset(str(path)).x, [10.0, 20.0])
 
 
 class TestParserDefaults:
@@ -255,6 +272,42 @@ class TestFitCommand:
         assert main(["fit", data] + flags) == EXIT_USAGE
         assert "got 1" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestRuntimeWithoutScipy:
+    """The package and its CLI run on numpy and the standard library alone."""
+
+    @staticmethod
+    def _python(code, cwd):
+        src = str(Path(lomaxbayes.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        return subprocess.run(
+            [sys.executable, "-B", "-c", code], cwd=cwd, env=env,
+            capture_output=True, text=True, timeout=120,
+        )
+
+    def test_import_loads_no_scipy(self, tmp_path):
+        done = self._python(
+            "import lomaxbayes, lomaxbayes.cli, sys; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))",
+            tmp_path,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
+
+    def test_fit_with_scipy_blocked_matches_in_process_fit(self, tmp_path):
+        data = _make_data_file(tmp_path)
+        flags = ["--iters", "3000", "--burnin", "1000", "--thin", "1"]
+        blocked, here = tmp_path / "blocked", tmp_path / "here"
+        done = self._python(
+            "import sys; sys.modules['scipy'] = None\n"
+            "from lomaxbayes import cli\n"
+            f"sys.exit(cli.main({['fit', data, '--out', str(blocked)] + flags!r}))",
+            tmp_path,
+        )
+        assert done.returncode == EXIT_OK, done.stderr
+        assert main(["fit", data, "--out", str(here)] + flags) == EXIT_OK
+        assert (blocked / "trace.csv").read_bytes() == (here / "trace.csv").read_bytes()
 
 
 SIM_FLAGS = [

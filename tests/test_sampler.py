@@ -25,6 +25,7 @@ from lomaxbayes.priors import log_prior_alpha
 from lomaxbayes.sampler import (
     _alpha_terms,
     _log_conditional,
+    _log_phi,
     _mh_step_alpha,
     run_chain,
     sample_beta,
@@ -260,6 +261,27 @@ class TestMhStepAlpha:
             out[i] = alpha
         se = _batch_means_se(out)
         assert abs(out.mean() - target_mean) < 3 * se
+
+
+class TestLogPhi:
+    """The stdlib log Phi against scipy's log_ndtr, a test-only dependency."""
+
+    GRID = np.geomspace(1e-8, 1e3, 2001)
+
+    def test_relative_error_up_to_6(self):
+        z = self.GRID[self.GRID <= 6.0]
+        got = np.array([_log_phi(float(v)) for v in z])
+        np.testing.assert_allclose(got, log_ndtr(z), rtol=1e-14, atol=0.0)
+
+    def test_absolute_error_beyond_6(self):
+        # log Phi(z) ~ -Phi(-z) here, far below 1: an absolute bound
+        z = self.GRID[self.GRID > 6.0]
+        got = np.array([_log_phi(float(v)) for v in z])
+        np.testing.assert_allclose(got, log_ndtr(z), rtol=0.0, atol=1e-22)
+
+    def test_endpoints(self):
+        assert _log_phi(5e-324) == math.log(0.5)
+        assert _log_phi(math.inf) == 0.0
 
 
 def _data(n, seed=0, params=LomaxParams(2.0, 1.5)):
