@@ -16,6 +16,7 @@ kept for x far below or far above the scale.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +38,12 @@ __all__ = [
 def _check_positive_finite(name: str, value) -> None:
     if not (math.isfinite(value) and value > 0.0):
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
+def _check_integer(name: str, value) -> None:
+    # a float count such as 3000.0 would fail later, inside numpy or range()
+    if not isinstance(value, numbers.Integral):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)

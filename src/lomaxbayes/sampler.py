@@ -9,7 +9,7 @@ updates, in this order:
    ``standard_gamma(alpha + 1) * 1/(1 + x_i/beta)`` into buffers that a
    chain allocates once;
 2. ``beta | lambda  ~  InverseGamma(n, sum(lambda_i x_i))``, drawn as
-   scale over a unit-rate gamma variate;
+   that sum over a unit-rate Gamma(n) variate;
 3. ``alpha | lambda`` by one random-walk Metropolis-Hastings step with a
    Normal(alpha, tuning^2) proposal resampled until positive.  The
    Hastings correction for that truncation is
@@ -27,14 +27,35 @@ tests' bitwise comparison with a ``log_ndtr`` chain finds no such step.
 
 Chain i of master seed s draws from ``SeedSequence(s, spawn_key=(i,))``,
 child i of ``SeedSequence(s).spawn``, so no chain depends on execution order
-and distinct master seeds give independent streams.
+and distinct master seeds give independent streams.  From that generator
+a chain draws, in this order:
+
+- the initial alpha and then beta, each ``gamma(1.0)``;
+- at iterations 0, 1024, 2048, ... a block of 1024 unit-rate Gamma(n)
+  variates (step 2), then 1024 standard normals (the first proposal
+  increment of step 3), then 1024 uniforms u, kept as ``log1p(-u)``
+  in (-inf, 0] for step 3's acceptance test;
+- within each iteration, the n latents of step 1 and, only while a
+  proposal is not positive, one more standard normal per redraw.
+
+One numpy call per block in place of three per iteration removes most of
+the per-call cost of the scalar draws at small n.  The last block is
+drawn whole even when the chain ends inside it, so a chain of T
+iterations is a prefix of every longer chain with the same seed and chain
+index.
 
 The latent draw equals ``rng.gamma(alpha + 1, 1/rate)`` bit for bit and
 leaves the generator in the same state: numpy's ``Generator.gamma(shape,
 scale)`` computes ``scale * standard_gamma(shape)`` element by element from
 the same stream, and the scale ``1/(1 + x_i/beta)`` is computed with the
 same operations in the same order.  So an iteration allocates no length-n
-array without changing any draw.
+array without changing any draw.  The scale stays ``1/(1 + x_i/beta)``
+rather than the equal ``beta/(beta + x_i)``: where ``x_i/beta``
+overflows, the first is 0, so the latent and then sum(lambda_i x_i) are
+0 and ``sample_beta`` raises ``DegenerateDataError`` (``fit`` on
+``[0]*99 + [1.0]`` exits 3), while the second stays positive and lets
+such a chain run on.  Which of the two is right belongs with moving the
+scale to log beta, not with the order of the draws.
 
 Each stage uses the numpy call with the least per-call cost among those
 that give the same bits:
@@ -44,14 +65,10 @@ that give the same bits:
 - ``lam.dot(x)`` for ``lam @ x``: both reach the same BLAS dot product
   for two 1-D float arrays;
 - ``np.add.reduce(v)`` for ``v.sum()``: the method calls the same
-  pairwise reduction;
-- ``alpha + tuning * rng.standard_normal()`` for
-  ``alpha + rng.normal(0.0, tuning)``: numpy computes ``normal`` as
-  ``loc + scale * standard_normal`` from the same stream, and ``0.0 + z``
-  equals ``z`` up to the sign of a zero, which ``alpha + z`` does not see.
+  pairwise reduction.
 
-``rng.gamma(n)`` and ``w += 1.0`` stay as they are: ``standard_gamma`` and
-``np.add(w, 1.0, out=w)`` give the same bits but cost more per call.
+``w += 1.0`` stays as it is: ``np.add(w, 1.0, out=w)`` gives the same bits
+but costs more per call.
 """
 
 from __future__ import annotations
@@ -65,7 +82,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distribution import Dataset, _check_positive_finite
+from .distribution import Dataset, _check_integer, _check_positive_finite
 from .priors import PriorKind, check_propriety, log_prior_alpha
 
 __all__ = [
@@ -82,14 +99,18 @@ __all__ = [
 # Fewest iterations per chain at which run_chains forks worker processes: a
 # fork costs 15-30 ms and each forked chain's result is pickled back, so
 # short chains run faster one after another.  Forked / serial speed-up,
-# 2 chains, dependent Jeffreys, 2-core VM, median of 7 interleaved runs:
+# 2 chains, dependent Jeffreys, burn-in 10%, 2-core VM, median of 7
+# interleaved runs:
 #
 #       iterations   250    500    1000   2000   4000
-#       n = 50       0.46   0.63   0.76   1.19   1.63
-#       n = 500      0.69   1.06   1.36   1.48   1.72
+#       n = 50       0.52   0.61   0.92   1.12   1.36
+#       n = 500      0.79   0.97   1.41   1.60   1.54
 #
 # A larger n only lowers the crossover.
 _FORK_MIN_ITERATIONS = 2000
+
+# Iterations whose scalar variates run_chain draws in one call each
+_BLOCK = 1024
 
 _SQRT_HALF = math.sqrt(0.5)
 
@@ -115,6 +136,8 @@ class McmcConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("iterations", "burn_in", "thin", "chains", "seed"):
+            _check_integer(name, getattr(self, name))
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
         if not 0 <= self.burn_in < self.iterations:
@@ -218,14 +241,17 @@ def sample_lambda(
     return out
 
 
-def sample_beta(lam: np.ndarray, d: Dataset, rng: np.random.Generator) -> float:
-    """One Gibbs draw of the scale: beta ~ InverseGamma(n, sum(lambda_i x_i))."""
+def sample_beta(lam: np.ndarray, d: Dataset, g: float) -> float:
+    """One Gibbs draw of the scale: beta ~ InverseGamma(n, sum(lambda_i x_i)).
+
+    ``g`` is a unit-rate Gamma(n) variate; the draw is the sum over ``g``.
+    """
     s = float(lam.dot(d.x))
     if s <= 0.0:
         raise DegenerateDataError(
             "sum(lambda_i * x_i) is zero; the scale conditional needs at least one x_i > 0"
         )
-    return s / rng.gamma(d.n)
+    return s / g
 
 
 def _log_phi(z: float) -> float:
@@ -251,14 +277,17 @@ def _mh_step_alpha(
     n: int,
     sum_log_lam: float,
     tuning: float,
+    z: float,
+    log_u: float,
     rng: np.random.Generator,
 ) -> tuple[float, tuple[float, float, float], bool]:
-    # terms are _alpha_terms(kind, current, n, tuning); returns the new
-    # alpha, its terms and whether the proposal was accepted
-    while True:
+    # terms are _alpha_terms(kind, current, n, tuning); z is the proposal's
+    # first standard normal increment, later ones come from rng, and log_u
+    # is log(1 - u) for a uniform u in [0, 1).  Returns the new alpha, its
+    # terms and whether the proposal was accepted.
+    proposal = current + tuning * z
+    while proposal <= 0.0:
         proposal = current + tuning * rng.standard_normal()
-        if proposal > 0.0:
-            break
     proposed = _alpha_terms(kind, proposal, n, tuning)
     log_ratio = (
         _log_conditional(proposed, proposal, sum_log_lam)
@@ -266,8 +295,8 @@ def _mh_step_alpha(
         # Hastings ratio of the positive-truncated normal proposal densities
         + (terms[2] - proposed[2])
     )
-    # u in (0, 1]: log(1) = 0 keeps "ratio 0 => always accept" exact
-    if math.log(1.0 - rng.random()) <= log_ratio:
+    # log_u = 0 for u = 0 keeps "ratio 0 => always accept" exact
+    if log_u <= log_ratio:
         return proposal, proposed, True
     return current, terms, False
 
@@ -299,17 +328,24 @@ def run_chain(d: Dataset, kind: PriorKind, cfg: McmcConfig, chain_index: int = 0
 
     n, burn_in, thin, tuning = d.n, cfg.burn_in, cfg.thin, cfg.tuning
     terms = _alpha_terms(kind, alpha, n, tuning)
-    for it in range(cfg.iterations):
-        sample_lambda(alpha, beta, d, rng, lam, work)
-        beta = sample_beta(lam, d, rng)
-        sum_log_lam = float(np.add.reduce(np.log(lam, out=work)))
-        alpha, terms, acc = _mh_step_alpha(alpha, terms, kind, n, sum_log_lam, tuning, rng)
-        accepted += acc
-        if it >= burn_in and (it - burn_in + 1) % thin == 0:
-            alpha_out[k] = alpha
-            beta_out[k] = beta
-            lam_sum += lam
-            k += 1
+    for start in range(0, cfg.iterations, _BLOCK):
+        # whole blocks, even the last: a chain is a prefix of a longer one
+        gammas = rng.standard_gamma(n, _BLOCK).tolist()
+        normals = rng.standard_normal(_BLOCK).tolist()
+        log_us = np.log1p(-rng.random(_BLOCK)).tolist()
+        for it, g, z, log_u in zip(range(start, cfg.iterations), gammas, normals, log_us):
+            sample_lambda(alpha, beta, d, rng, lam, work)
+            beta = sample_beta(lam, d, g)
+            sum_log_lam = float(np.add.reduce(np.log(lam, out=work)))
+            alpha, terms, acc = _mh_step_alpha(
+                alpha, terms, kind, n, sum_log_lam, tuning, z, log_u, rng
+            )
+            accepted += acc
+            if it >= burn_in and (it - burn_in + 1) % thin == 0:
+                alpha_out[k] = alpha
+                beta_out[k] = beta
+                lam_sum += lam
+                k += 1
 
     assert k == retained
     return Chain(

@@ -23,7 +23,7 @@ from functools import partial
 import numpy as np
 
 from .diagnostics import SummaryStats, acceptance_rate, gelman_rubin, summarize
-from .distribution import Dataset, LomaxParams, sample
+from .distribution import Dataset, LomaxParams, _check_integer, sample
 from .priors import PriorKind, check_propriety
 from . import sampler
 from .sampler import ChainSet, McmcConfig, run_chains
@@ -60,6 +60,10 @@ class StudyConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for n in self.sample_sizes:
+            _check_integer("sample_sizes", n)
+        _check_integer("replications", self.replications)
+        _check_integer("seed", self.seed)
         object.__setattr__(self, "sample_sizes", tuple(int(n) for n in self.sample_sizes))
         object.__setattr__(self, "priors", tuple(self.priors))
         if self.replications < 1:

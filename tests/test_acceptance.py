@@ -114,8 +114,8 @@ def test_criterion_03_conditional_samplers():
     for n, total in ((5, 8.0), (8, 4.0), (12, 18.0)):
         d = Dataset(np.ones(n))
         lam = np.full(n, total / n)
-        rng = np.random.default_rng(302)
-        draws = np.array([sample_beta(lam, d, rng) for _ in range(n_draws)])
+        gammas = np.random.default_rng(302).standard_gamma(n, n_draws)
+        draws = np.array([sample_beta(lam, d, g) for g in gammas])
         m = total / (n - 1)
         v = total**2 / ((n - 1) ** 2 * (n - 2))
         kurt = (30 * n - 66.0) / ((n - 3) * (n - 4))
@@ -140,11 +140,15 @@ def test_criterion_04_mh_stationarity_oracle():
 
     rng = np.random.default_rng(123)
     steps = 200_000
+    normals = rng.standard_normal(steps).tolist()
+    log_us = np.log1p(-rng.random(steps)).tolist()
     out = np.empty(steps)
     alpha = 1.0
     terms = _alpha_terms(PriorKind.REFERENCE, alpha, lam.size, 1.0)
     for i in range(steps):
-        alpha, terms, _ = _mh_step_alpha(alpha, terms, PriorKind.REFERENCE, lam.size, sum_log, 1.0, rng)
+        alpha, terms, _ = _mh_step_alpha(
+            alpha, terms, PriorKind.REFERENCE, lam.size, sum_log, 1.0, normals[i], log_us[i], rng
+        )
         out[i] = alpha
     n_batches = 400
     batch_means = out.reshape(n_batches, -1).mean(axis=1)

@@ -2,6 +2,7 @@
 
 import math
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -76,6 +77,25 @@ class TestMcmcConfig:
         with pytest.raises(ValueError):
             McmcConfig(**kwargs)
 
+    # each would pass the range checks and fail later inside run_chains
+    @pytest.mark.parametrize("kwargs", [
+        dict(iterations=3000.0, burn_in=1000),
+        dict(burn_in=1000.0),
+        dict(thin=2.5),
+        dict(chains=2.0),
+        dict(seed=1.5),
+    ])
+    def test_non_integer_count_names_the_field(self, kwargs):
+        (name, value), = [(k, v) for k, v in kwargs.items() if isinstance(v, float)]
+        with pytest.raises(TypeError, match=f"^{name} must be an integer, got {value}$"):
+            McmcConfig(**kwargs)
+
+    def test_numpy_integers_are_counts(self):
+        cfg = McmcConfig(
+            iterations=np.int64(300), burn_in=np.int32(100), thin=np.int64(2), seed=np.uint64(3)
+        )
+        assert cfg.retained == 100
+
 
 class TestSampleLambda:
     # (alpha, beta, x) -> latent conditional Gamma(alpha+1, 1 + x/beta)
@@ -132,8 +152,8 @@ class TestSampleBeta:
         # lam @ x = total with x = 1 and lam = total/n
         d = Dataset(np.ones(n))
         lam = np.full(n, total / n)
-        rng = np.random.default_rng(seed)
-        return np.array([sample_beta(lam, d, rng) for _ in range(n_draws)])
+        gammas = np.random.default_rng(seed).standard_gamma(n, n_draws)
+        return np.array([sample_beta(lam, d, g) for g in gammas])
 
     @pytest.mark.parametrize("n,total", [(5, 8.0), (8, 4.0), (12, 18.0)])
     def test_moments_within_3se(self, n, total):
@@ -152,7 +172,7 @@ class TestSampleBeta:
     def test_degenerate_data(self):
         d = Dataset(np.zeros(4))
         with pytest.raises(DegenerateDataError):
-            sample_beta(np.ones(4), d, np.random.default_rng(0))
+            sample_beta(np.ones(4), d, 4.0)
 
 
 def _shape_log_density(kind, a, lam):
@@ -186,26 +206,14 @@ class TestAlphaConditional:
         assert got == pytest.approx(oracle(a2) - oracle(a1), rel=1e-12)
 
 
-class _PinnedRng:
-    """standard_normal() pinned to a constant step; random() pinned too."""
-
-    def __init__(self, step=0.0, uniform=0.5):
-        self.step = step
-        self.uniform = uniform
-
-    def standard_normal(self):
-        return self.step
-
-    def random(self):
-        return self.uniform
-
-
 class TestMhStepAlpha:
+    # a positive first proposal draws nothing from rng, so these steps get None
+
     def test_proposal_equal_to_current_always_accepted(self):
         kind, sum_log = PriorKind.REFERENCE, math.log(0.5) + math.log(2.0)
         new, _, accepted = _mh_step_alpha(
             1.7, _alpha_terms(kind, 1.7, 2, 1.0), kind, 2, sum_log, 1.0,
-            _PinnedRng(step=0.0, uniform=0.999),
+            0.0, math.log1p(-0.999), None,
         )
         assert accepted and new == 1.7
 
@@ -218,11 +226,23 @@ class TestMhStepAlpha:
         n, sum_log, tuning = 2, math.log(0.5) + math.log(2.0), 1.0
         terms = _alpha_terms(kind, 1.7, n, tuning)
         new, new_terms, accepted = _mh_step_alpha(
-            1.7, terms, kind, n, sum_log, tuning, _PinnedRng(step=step, uniform=uniform)
+            1.7, terms, kind, n, sum_log, tuning, step, math.log1p(-uniform), None
         )
         assert accepted is accept
         assert new == (1.7 + step if accept else 1.7)
         assert new_terms == _alpha_terms(kind, new, n, tuning)
+
+    def test_nonpositive_first_proposal_redraws_from_rng(self):
+        kind, n, sum_log, tuning = PriorKind.REFERENCE, 2, math.log(0.5) + math.log(2.0), 1.0
+        rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+        new, _, accepted = _mh_step_alpha(
+            0.5, _alpha_terms(kind, 0.5, n, tuning), kind, n, sum_log, tuning, -10.0, -math.inf, rng
+        )
+        # the first increment is given; later ones come from rng until positive
+        while (want := 0.5 + tuning * ref.standard_normal()) <= 0.0:
+            pass
+        assert accepted and new == want
+        assert rng.bit_generator.state == ref.bit_generator.state
 
     @staticmethod
     def _truncation_log_correction(current, proposal, tuning):
@@ -253,11 +273,15 @@ class TestMhStepAlpha:
 
         rng = np.random.default_rng(123)
         steps = 200_000
+        normals = rng.standard_normal(steps).tolist()
+        log_us = np.log1p(-rng.random(steps)).tolist()
         out = np.empty(steps)
         alpha = 1.0
         terms = _alpha_terms(PriorKind.REFERENCE, alpha, 2, 1.0)
         for i in range(steps):
-            alpha, terms, _ = _mh_step_alpha(alpha, terms, PriorKind.REFERENCE, 2, sum_log, 1.0, rng)
+            alpha, terms, _ = _mh_step_alpha(
+                alpha, terms, PriorKind.REFERENCE, 2, sum_log, 1.0, normals[i], log_us[i], rng
+            )
             out[i] = alpha
         se = _batch_means_se(out)
         assert abs(out.mean() - target_mean) < 3 * se
@@ -305,6 +329,25 @@ class TestRunChain:
         np.testing.assert_array_equal(c1.beta, c2.beta)
         np.testing.assert_array_equal(c1.lambda_means, c2.lambda_means)
         assert c1.accepted == c2.accepted
+
+    @pytest.mark.parametrize("iterations", [1000, 1024, 1025])
+    def test_chain_is_a_prefix_of_a_longer_chain(self, monkeypatch, iterations):
+        # the longer chain crosses the end of the first block of variates
+        flags, orig = [], sampler._mh_step_alpha
+
+        def spy(*args):
+            out = orig(*args)
+            flags.append(out[2])
+            return out
+
+        d = _data(10)
+        cfg = McmcConfig(iterations=3000, burn_in=0, thin=1, chains=1, seed=8)
+        short = run_chain(d, PriorKind.REFERENCE, replace(cfg, iterations=iterations))
+        monkeypatch.setattr(sampler, "_mh_step_alpha", spy)
+        long = run_chain(d, PriorKind.REFERENCE, cfg)
+        assert short.alpha.tobytes() == long.alpha[:iterations].tobytes()
+        assert short.beta.tobytes() == long.beta[:iterations].tobytes()
+        assert short.accepted == sum(flags[:iterations])
 
     def test_chain_index_changes_stream(self):
         d = _data(10)
@@ -405,7 +448,14 @@ def _assert_chains_equal_run_chain(cs, d, kind, cfg):
 
 def _allocating_chain(d, kind, cfg, chain_index=0):
     """The Gibbs loop in its allocating form: fresh arrays every iteration,
-    and every term of the shape's log ratio computed afresh at every step."""
+    and every term of the shape's log ratio computed afresh at every step.
+
+    At iterations 0, 1024, 2048, ... it draws 1024 Gamma(n) variates, then
+    1024 normals, then 1024 uniforms, all from the chain's generator; each
+    iteration takes its scale divisor, first proposal increment and
+    acceptance uniform from them and draws its latents and any redrawn
+    proposal increments from the generator as it goes."""
+    block = 1024
 
     def log_conditional(a, sum_log_lam):
         return -d.n * math.lgamma(a) + (a - 1.0) * sum_log_lam + log_prior_alpha(kind, a)
@@ -417,19 +467,23 @@ def _allocating_chain(d, kind, cfg, chain_index=0):
     alphas, betas, lam_sum = [], [], np.zeros(d.n)
     accepted = 0
     for it in range(cfg.iterations):
+        j = it % block
+        if j == 0:
+            gammas = rng.gamma(d.n, 1.0, block)
+            increments = rng.normal(0.0, 1.0, block)
+            log_us = np.log1p(-rng.random(block))
         lam = rng.gamma(alpha + 1.0, 1.0 / (1.0 + d.x / beta))
-        beta = float(lam @ d.x) / float(rng.gamma(d.n))
+        beta = float(lam @ d.x) / float(gammas[j])
         sum_log_lam = float(np.log(lam).sum())
-        while True:
+        proposal = alpha + tuning * float(increments[j])
+        while proposal <= 0.0:
             proposal = alpha + rng.normal(0.0, tuning)
-            if proposal > 0.0:
-                break
         log_ratio = (
             log_conditional(proposal, sum_log_lam)
             - log_conditional(alpha, sum_log_lam)
             + float(log_ndtr(alpha / tuning) - log_ndtr(proposal / tuning))
         )
-        acc = math.log(1.0 - rng.random()) <= log_ratio
+        acc = float(log_us[j]) <= log_ratio
         if acc:
             alpha = proposal
         accepted += acc
@@ -462,6 +516,16 @@ class TestBufferedKernelIdentity:
         c = run_chain(d, kind, cfg, chain_index=chain_index)
         alpha, beta, lam_means, accepted = _allocating_chain(d, kind, cfg, chain_index)
         assert 0 < accepted < cfg.iterations
+        assert c.accepted == accepted
+        assert c.alpha.tobytes() == alpha.tobytes()
+        assert c.beta.tobytes() == beta.tobytes()
+        assert c.lambda_means.tobytes() == lam_means.tobytes()
+
+    def test_matches_allocating_loop_across_blocks(self):
+        d = _data(50, seed=50)
+        cfg = McmcConfig(iterations=2100, burn_in=100, thin=5, seed=2718)
+        c = run_chain(d, PriorKind.JEFFREYS_DEPENDENT, cfg)
+        alpha, beta, lam_means, accepted = _allocating_chain(d, PriorKind.JEFFREYS_DEPENDENT, cfg)
         assert c.accepted == accepted
         assert c.alpha.tobytes() == alpha.tobytes()
         assert c.beta.tobytes() == beta.tobytes()

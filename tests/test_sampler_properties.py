@@ -24,15 +24,18 @@ from lomaxbayes.sampler import _alpha_terms, _mh_step_alpha  # noqa: E402
 )
 def test_carried_terms_are_those_of_the_current_alpha(kind, n, tuning, alpha, log_levels, seed):
     carried, fresh = np.random.default_rng(seed), np.random.default_rng(seed)
+    steps = np.random.default_rng([seed, 1])
     terms = _alpha_terms(kind, alpha, n, tuning)
     for level in log_levels:
         sum_log_lam = float(np.log(np.full(n, math.exp(level))).sum())
+        z, log_u = steps.standard_normal(), math.log1p(-steps.random())
         # the same step with every term recomputed for the current alpha
+        fresh_terms = _alpha_terms(kind, alpha, n, tuning)
         want, _, want_accepted = _mh_step_alpha(
-            alpha, _alpha_terms(kind, alpha, n, tuning), kind, n, sum_log_lam, tuning, fresh
+            alpha, fresh_terms, kind, n, sum_log_lam, tuning, z, log_u, fresh
         )
         alpha, terms, accepted = _mh_step_alpha(
-            alpha, terms, kind, n, sum_log_lam, tuning, carried
+            alpha, terms, kind, n, sum_log_lam, tuning, z, log_u, carried
         )
         assert (alpha, accepted) == (want, want_accepted)
         assert terms == _alpha_terms(kind, alpha, n, tuning)

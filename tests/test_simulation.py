@@ -72,6 +72,16 @@ class TestStudyConfig:
         with pytest.raises(ValueError, match="priors must be distinct"):
             StudyConfig(true_params=TRUTH, priors=(PriorKind.REFERENCE, PriorKind.REFERENCE))
 
+    @pytest.mark.parametrize("name,kwargs", [
+        ("replications", dict(replications=2.5)),
+        # was truncated to n = 50
+        ("sample_sizes", dict(sample_sizes=(50.7,))),
+        ("seed", dict(seed=1.5)),
+    ])
+    def test_non_integer_count_names_the_field(self, name, kwargs):
+        with pytest.raises(TypeError, match=f"^{name} must be an integer"):
+            StudyConfig(true_params=TRUTH, **kwargs)
+
     def test_defaults_follow_study_design(self):
         cfg = StudyConfig(true_params=TRUTH)
         assert cfg.sample_sizes == (50, 100, 150, 200, 300, 500)
