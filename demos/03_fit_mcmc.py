@@ -36,8 +36,9 @@ chains = run_chains(data, PriorKind.REFERENCE, cfg)
 print(f"\n{cfg.chains} chains x {cfg.retained} retained draws "
       f"(iterations={cfg.iterations}, burn-in={cfg.burn_in}, thin={cfg.thin})")
 for param in ("beta", "alpha"):
-    s = summarize(chains.pooled(param))
-    psrf = gelman_rubin(chains, param)
+    draws = [getattr(c, param) for c in chains]
+    s = summarize(np.concatenate(draws))
+    psrf = gelman_rubin(draws)
     print(f"  {param:5s} mean={s.mean:.4f} sd={s.sd:.4f} "
           f"95% CI=[{s.ci_low:.4f}, {s.ci_high:.4f}]  PSRF={psrf:.4f}")
 rates = ", ".join(f"{acceptance_rate(c):.3f}" for c in chains)

@@ -41,7 +41,6 @@ from .priors import (
 )
 from .sampler import (
     Chain,
-    ChainSet,
     DegenerateDataError,
     McmcConfig,
     run_chains,
@@ -62,7 +61,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CellStats",
     "Chain",
-    "ChainSet",
     "Dataset",
     "DegenerateDataError",
     "FisherMatrix",

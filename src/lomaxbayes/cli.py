@@ -26,7 +26,7 @@ import numpy as np
 from .diagnostics import outlier_scores
 from .distribution import Dataset, LomaxParams
 from .priors import ImproperPosteriorError, PriorKind
-from .sampler import _FORK_MIN_ITERATIONS, ChainSet, DegenerateDataError, McmcConfig, run_chains
+from .sampler import _FORK_MIN_ITERATIONS, Chain, DegenerateDataError, McmcConfig, run_chains
 from .simulation import ReplicateFit, StudyConfig, run_study, summarize_chains
 
 __all__ = ["DataFormatError", "parse_dataset", "cmd_fit", "cmd_simulate", "main"]
@@ -116,7 +116,7 @@ def _summary_payload(kind: PriorKind, d: Dataset, fit: ReplicateFit, seed: int) 
     return payload
 
 
-def _write_trace_csv(path: Path, chains: ChainSet) -> None:
+def _write_trace_csv(path: Path, chains: tuple[Chain, ...]) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("chain,draw_index,alpha,beta\n")
         for c in chains:
@@ -124,7 +124,7 @@ def _write_trace_csv(path: Path, chains: ChainSet) -> None:
                 fh.write(f"{c.chain_index},{i},{a!r},{b!r}\n")
 
 
-def _write_outlier_csv(path: Path, d: Dataset, chains: ChainSet) -> None:
+def _write_outlier_csv(path: Path, d: Dataset, chains: tuple[Chain, ...]) -> None:
     result = outlier_scores(chains, d)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("index,x,lambda_mean,flagged\n")
@@ -144,13 +144,22 @@ def _mcmc_config(args) -> McmcConfig:
     )
 
 
+def _out_dir(value: str) -> Path:
+    """``--out`` as a Path, if it and its nearest existing ancestor are directories."""
+    out = Path(value)
+    existing = next(p for p in (out, *out.parents) if p.exists())
+    if not existing.is_dir():
+        raise ValueError(f"--out {value}: {existing} is not a directory")
+    return out
+
+
 def cmd_fit(args) -> int:
+    out = _out_dir(args.out)
     d = parse_dataset(args.data)
     kind = PriorKind(args.prior)
     cfg = _mcmc_config(args)
     chains = run_chains(d, kind, cfg)
 
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     summary = _summary_payload(kind, d, summarize_chains(chains), cfg.seed)
     with open(out / "summary.json", "w", encoding="utf-8") as fh:
@@ -172,6 +181,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    out = _out_dir(args.out)
     kinds = (PriorKind(args.prior),) if args.prior else StudyConfig.priors
     study = StudyConfig(
         true_params=LomaxParams(beta=args.beta, alpha=args.alpha),
@@ -183,7 +193,6 @@ def cmd_simulate(args) -> int:
     )
     report = run_study(study, n_jobs=args.jobs, progress=not args.quiet)
 
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     report.to_csv(out / "simulation.csv")
     print(report.table())

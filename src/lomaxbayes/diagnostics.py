@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distribution import Dataset
-from .sampler import Chain, ChainSet
+from .sampler import Chain
 
 __all__ = [
     "SummaryStats",
@@ -44,28 +44,23 @@ def summarize(draws) -> SummaryStats:
     )
 
 
-def gelman_rubin(chains, param: str | None = None) -> float:
+def gelman_rubin(draws) -> float:
     """Potential scale reduction factor sqrt((((L-1)/L) W + B/L) / W).
 
-    W is the mean within-chain variance (divisor L-1) and B is L times
-    the variance of the chain means (divisor M-1).  ``chains`` is either
-    a :class:`ChainSet` (then ``param`` picks "alpha" or "beta") or a
-    sequence of equal-length draw vectors.  Values below 1 are possible
-    and reported as-is.  When every chain is constant (W = 0) the result
-    is NaN if the chain means agree too (B = 0) and +inf if they differ.
+    ``draws`` is a sequence of M >= 2 equal-length draw vectors, one per
+    chain, such as ``[c.alpha for c in chains]``.  W is the mean
+    within-chain variance (divisor L-1) and B is L times the variance of
+    the chain means (divisor M-1).  Values below 1 are possible and
+    reported as-is.  When every chain is constant (W = 0) the result is
+    NaN if the chain means agree too (B = 0) and +inf if they differ.
     """
-    if isinstance(chains, ChainSet):
-        if param is None:
-            raise ValueError("param is required with a ChainSet")
-        mat = chains.parameter_matrix(param)
-    else:
-        rows = [np.asarray(c, dtype=float).ravel() for c in chains]
-        if len({r.size for r in rows}) > 1:
-            raise ValueError("chains have unequal lengths")
-        mat = np.vstack(rows)
-    m, length = mat.shape
-    if m < 2:
+    rows = [np.asarray(c, dtype=float).ravel() for c in draws]
+    if len(rows) < 2:
         raise ValueError("need at least 2 chains")
+    if len({r.size for r in rows}) > 1:
+        raise ValueError("chains have unequal lengths")
+    mat = np.vstack(rows)
+    length = mat.shape[1]
     if length < 2:
         raise ValueError("need at least 2 draws per chain")
     w = float(mat.var(axis=1, ddof=1).mean())
@@ -90,7 +85,7 @@ class OutlierScores:
     flagged: np.ndarray
 
 
-def outlier_scores(chains: ChainSet, d: Dataset) -> OutlierScores:
+def outlier_scores(chains: tuple[Chain, ...], d: Dataset) -> OutlierScores:
     """Score observations by the pooled posterior mean of their latent lambda_i.
 
     A large observation shrinks the Gamma(alpha+1, 1 + x_i/beta) latent
@@ -98,7 +93,7 @@ def outlier_scores(chains: ChainSet, d: Dataset) -> OutlierScores:
     flagged when its score falls below the 5th percentile of all scores
     and x_i exceeds the 95th percentile of the data.
     """
-    scores = chains.lambda_means
+    scores = np.mean([c.lambda_means for c in chains], axis=0)
     if scores.shape != (d.n,):
         raise ValueError(
             f"latent means have length {scores.shape[0]}, dataset has n={d.n}"

@@ -98,6 +98,11 @@ def fisher_inverse(p: LomaxParams, n: int = 1) -> FisherMatrix:
     )
 
 
+def _check_kind(kind) -> None:
+    if not isinstance(kind, PriorKind):
+        raise TypeError(f"prior must be a PriorKind, got {kind!r}")
+
+
 def log_prior_alpha(kind: PriorKind, a: float) -> float:
     """The shape factor of the log prior; every prior's scale factor is -log(beta).
 
@@ -105,6 +110,7 @@ def log_prior_alpha(kind: PriorKind, a: float) -> float:
     """
     if kind is PriorKind.JEFFREYS_DEPENDENT:
         return -math.log(a + 1.0) - 0.5 * math.log(a) - 0.5 * math.log(a + 2.0)
+    _check_kind(kind)  # a label such as "jeffreys" must not pass for 1/(alpha beta)
     return -math.log(a)
 
 
@@ -123,7 +129,11 @@ def min_sample_size(kind: PriorKind) -> int:
 
 
 def check_propriety(kind: PriorKind, n: int) -> None:
-    """Raise :class:`ImproperPosteriorError` when n is below :func:`min_sample_size`."""
+    """Raise :class:`ImproperPosteriorError` when n is below :func:`min_sample_size`.
+
+    Raises ``TypeError`` when ``kind`` is not a :class:`PriorKind`.
+    """
+    _check_kind(kind)
     need = min_sample_size(kind)
     if n < need:
         raise ImproperPosteriorError(

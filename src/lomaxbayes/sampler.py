@@ -88,7 +88,6 @@ from .priors import PriorKind, check_propriety, log_prior_alpha
 __all__ = [
     "McmcConfig",
     "Chain",
-    "ChainSet",
     "DegenerateDataError",
     "sample_lambda",
     "sample_beta",
@@ -173,48 +172,6 @@ class Chain:
     proposed: int
     chain_index: int
     config: McmcConfig
-
-
-@dataclass(frozen=True)
-class ChainSet:
-    """Chains from one run, ordered by chain index."""
-
-    chains: tuple[Chain, ...]
-
-    def __post_init__(self):
-        chains = tuple(self.chains)
-        if len(chains) < 1:
-            raise ValueError("need at least one chain")
-        object.__setattr__(self, "chains", chains)
-
-    def __len__(self) -> int:
-        return len(self.chains)
-
-    def __iter__(self):
-        return iter(self.chains)
-
-    def __getitem__(self, i) -> Chain:
-        return self.chains[i]
-
-    def parameter_matrix(self, param: str) -> np.ndarray:
-        """Stack one parameter's retained draws as a (chains, length) matrix."""
-        if param not in ("alpha", "beta"):
-            raise ValueError(f"unknown parameter {param!r}")
-        lengths = {getattr(c, param).size for c in self.chains}
-        if len(lengths) != 1:
-            raise ValueError("chains have unequal retained lengths")
-        return np.vstack([getattr(c, param) for c in self.chains])
-
-    def pooled(self, param: str) -> np.ndarray:
-        """All chains' retained draws of one parameter, concatenated."""
-        if param not in ("alpha", "beta"):
-            raise ValueError(f"unknown parameter {param!r}")
-        return np.concatenate([getattr(c, param) for c in self.chains])
-
-    @property
-    def lambda_means(self) -> np.ndarray:
-        """Per-observation latent means pooled across chains."""
-        return np.mean([c.lambda_means for c in self.chains], axis=0)
 
 
 def sample_lambda(
@@ -372,8 +329,8 @@ def _chain_task(d: Dataset, kind: PriorKind, cfg: McmcConfig, chain_index: int) 
     return run_chain(d, kind, cfg, chain_index)
 
 
-def run_chains(d: Dataset, kind: PriorKind, cfg: McmcConfig) -> ChainSet:
-    """Run ``cfg.chains`` independent chains; result is ordered by chain index.
+def run_chains(d: Dataset, kind: PriorKind, cfg: McmcConfig) -> tuple[Chain, ...]:
+    """Run ``cfg.chains`` independent chains and return them in chain-index order.
 
     With w = min(chains, usable CPUs) > 1 and at least
     ``_FORK_MIN_ITERATIONS`` iterations per chain, w - 1 forked worker
@@ -395,8 +352,7 @@ def run_chains(d: Dataset, kind: PriorKind, cfg: McmcConfig) -> ChainSet:
         or threading.active_count() > 1
         or "fork" not in multiprocessing.get_all_start_methods()
     ):
-        return ChainSet(tuple(run_chain(d, kind, cfg, i) for i in indices))
+        return tuple(run_chain(d, kind, cfg, i) for i in indices)
     with ProcessPoolExecutor(max_workers=w - 1, mp_context=multiprocessing.get_context("fork")) as pool:
         forked = {i: pool.submit(_chain_task, d, kind, cfg, i) for i in indices if i % w}
-        chains = [forked[i].result() if i in forked else run_chain(d, kind, cfg, i) for i in indices]
-    return ChainSet(tuple(chains))
+        return tuple(forked[i].result() if i in forked else run_chain(d, kind, cfg, i) for i in indices)

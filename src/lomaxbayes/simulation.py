@@ -26,7 +26,7 @@ from .diagnostics import SummaryStats, acceptance_rate, gelman_rubin, summarize
 from .distribution import Dataset, LomaxParams, _check_integer, sample
 from .priors import PriorKind, check_propriety
 from . import sampler
-from .sampler import ChainSet, McmcConfig, run_chains
+from .sampler import Chain, McmcConfig, run_chains
 
 __all__ = [
     "StudyConfig",
@@ -65,6 +65,8 @@ class StudyConfig:
         _check_integer("replications", self.replications)
         _check_integer("seed", self.seed)
         object.__setattr__(self, "sample_sizes", tuple(int(n) for n in self.sample_sizes))
+        if isinstance(self.priors, (PriorKind, str)):
+            raise TypeError(f"priors must be a sequence of PriorKind, got {self.priors!r}")
         object.__setattr__(self, "priors", tuple(self.priors))
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
@@ -76,13 +78,13 @@ class StudyConfig:
             raise ValueError("all sample sizes must be >= 2")
         if not self.priors:
             raise ValueError("need at least one prior kind")
+        for kind in self.priors:
+            check_propriety(kind, min(self.sample_sizes))
         # a repeated cell would fit every replicate and write its rows again
         if len(set(self.sample_sizes)) < len(self.sample_sizes):
             raise ValueError(f"sample sizes must be distinct, got {self.sample_sizes}")
         if len(set(self.priors)) < len(self.priors):
             raise ValueError(f"priors must be distinct, got {tuple(k.value for k in self.priors)}")
-        for kind in self.priors:
-            check_propriety(kind, min(self.sample_sizes))
 
 
 @dataclass(frozen=True)
@@ -182,15 +184,16 @@ def _mcmc_seed(master: int, kind: PriorKind, n: int, j: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def summarize_chains(chains: ChainSet) -> ReplicateFit:
+def summarize_chains(chains: tuple[Chain, ...]) -> ReplicateFit:
     """Summaries of the pooled draws, mean acceptance rate and, with 2+ chains, PSRF."""
+    betas, alphas = [c.beta for c in chains], [c.alpha for c in chains]
     multi = len(chains) >= 2
     return ReplicateFit(
-        beta=summarize(chains.pooled("beta")),
-        alpha=summarize(chains.pooled("alpha")),
+        beta=summarize(np.concatenate(betas)),
+        alpha=summarize(np.concatenate(alphas)),
         accept_rate=float(np.mean([acceptance_rate(c) for c in chains])),
-        psrf_beta=gelman_rubin(chains, "beta") if multi else float("nan"),
-        psrf_alpha=gelman_rubin(chains, "alpha") if multi else float("nan"),
+        psrf_beta=gelman_rubin(betas) if multi else float("nan"),
+        psrf_alpha=gelman_rubin(alphas) if multi else float("nan"),
     )
 
 

@@ -31,13 +31,8 @@ from lomaxbayes import (
     sample,
 )
 from lomaxbayes.cli import main
-from lomaxbayes.sampler import (
-    _alpha_terms,
-    _mh_step_alpha,
-    run_chain,
-    sample_beta,
-    sample_lambda,
-)
+from lomaxbayes.sampler import run_chain, sample_beta, sample_lambda
+from mh_oracle import CHAINS, stationary_mean, target_mean
 
 TRUTH = LomaxParams(beta=2.0, alpha=1.5)
 STUDY_MCMC = McmcConfig(iterations=11000, burn_in=1000, thin=10, chains=2, tuning=1.0)
@@ -128,35 +123,13 @@ def test_criterion_03_conditional_samplers():
 
 def test_criterion_04_mh_stationarity_oracle():
     start = time.perf_counter()
-    lam = np.array([0.5, 2.0])
-    sum_log = float(np.log(lam).sum())
-
-    def dens(a):
-        return math.exp(-math.log(a) - 2.0 * math.lgamma(a) + (a - 1.0) * sum_log)
-
-    z, _ = quad(dens, 0.0, 50.0, limit=200)
-    m1, _ = quad(lambda a: a * dens(a), 0.0, 50.0, limit=200)
-    target_mean = m1 / z
-
-    rng = np.random.default_rng(123)
-    steps = 200_000
-    normals = rng.standard_normal(steps).tolist()
-    log_us = np.log1p(-rng.random(steps)).tolist()
-    out = np.empty(steps)
-    alpha = 1.0
-    terms = _alpha_terms(PriorKind.REFERENCE, alpha, lam.size, 1.0)
-    for i in range(steps):
-        alpha, terms, _ = _mh_step_alpha(
-            alpha, terms, PriorKind.REFERENCE, lam.size, sum_log, 1.0, normals[i], log_us[i], rng
-        )
-        out[i] = alpha
-    n_batches = 400
-    batch_means = out.reshape(n_batches, -1).mean(axis=1)
-    se = batch_means.std(ddof=1) / math.sqrt(n_batches)
-    diff = abs(out.mean() - target_mean)
+    target = target_mean()
+    mean, se = stationary_mean()
+    diff = abs(mean - target)
     elapsed = time.perf_counter() - start
     _report(4, diff < 3 * se and elapsed < 30.0,
-            f"(|{out.mean():.4f} - {target_mean:.4f}| = {diff:.4f} < 3*MCSE {3*se:.4f}, {elapsed:.1f}s)")
+            f"(|{mean:.4f} - {target:.4f}| = {diff:.4f} < 3*MCSE {3*se:.4f} "
+            f"from {CHAINS} chains, {elapsed:.1f}s)")
 
 
 def test_criterion_05_posterior_recovery_n500(recovery_chains):
@@ -164,7 +137,7 @@ def test_criterion_05_posterior_recovery_n500(recovery_chains):
     ok = True
     values = []
     for param, truth in (("beta", 2.0), ("alpha", 1.5)):
-        pooled = recovery_chains.pooled(param)
+        pooled = np.concatenate([getattr(c, param) for c in recovery_chains])
         m, sd = pooled.mean(), pooled.std(ddof=1)
         ok &= abs(m - truth) < 3 * sd
         values.append(f"{param}: {m:.4f} (sd {sd:.4f}) vs {truth}")
@@ -195,8 +168,8 @@ def test_criterion_06_desk_scale_study():
 
 
 def test_criterion_07_convergence_diagnostics(recovery_chains):
-    psrf_a = gelman_rubin(recovery_chains, "alpha")
-    psrf_b = gelman_rubin(recovery_chains, "beta")
+    psrf_a = gelman_rubin([c.alpha for c in recovery_chains])
+    psrf_b = gelman_rubin([c.beta for c in recovery_chains])
     ok = psrf_a <= 1.1 and psrf_b <= 1.1
 
     # Acceptance bracket for the reference prior at n <= 200, run at
@@ -226,7 +199,7 @@ def test_criterion_08_propriety_guards():
         except ImproperPosteriorError:
             guarded += 1
     dep = run_chains(d, PriorKind.JEFFREYS_DEPENDENT, cfg)
-    dep_ok = dep.pooled("alpha").size == cfg.retained
+    dep_ok = np.concatenate([c.alpha for c in dep]).size == cfg.retained
     _report(8, guarded == 2 and dep_ok,
             f"(reference/indep n=1 rejected: {guarded}/2; dependent n=1 ran)")
 

@@ -355,3 +355,25 @@ class TestSimulateCommand:
         for out in (out1, out2):
             assert main(["simulate", "--out", str(out)] + SIM_FLAGS) == EXIT_OK
         assert (out1 / "simulation.csv").read_bytes() == (out2 / "simulation.csv").read_bytes()
+
+
+class TestOutDir:
+    @pytest.mark.parametrize("sub", ["", "sub"])
+    @pytest.mark.parametrize("command", ["fit", "simulate"])
+    def test_unusable_out_exits_1_before_anything_runs(self, tmp_path, monkeypatch, capsys, command, sub):
+        # --out under a regular file was found by mkdir only after every chain had run
+        def ran(*args, **kwargs):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr("lomaxbayes.cli.run_chains", ran)
+        monkeypatch.setattr("lomaxbayes.cli.run_study", ran)
+        afile = tmp_path / "afile"
+        afile.write_text("keep\n")
+        out = afile / sub if sub else afile
+        argv = ["fit", _make_data_file(tmp_path)] + FIT_FLAGS if command == "fit" else ["simulate"] + SIM_FLAGS
+        before = sorted(tmp_path.iterdir())
+        assert main(argv + ["--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"invalid configuration: --out {out}: {afile} is not a directory" in err
+        assert sorted(tmp_path.iterdir()) == before
+        assert afile.read_text() == "keep\n"

@@ -8,7 +8,6 @@ import pytest
 
 from lomaxbayes import (
     Chain,
-    ChainSet,
     Dataset,
     LomaxParams,
     McmcConfig,
@@ -22,7 +21,7 @@ from lomaxbayes import (
 )
 
 
-def _chain(alpha, beta=None, accepted=0, proposed=1, index=0):
+def _chain(alpha, beta=None, accepted=0, proposed=1):
     alpha = np.asarray(alpha, dtype=float)
     beta = alpha.copy() if beta is None else np.asarray(beta, dtype=float)
     cfg = McmcConfig(iterations=max(proposed, 2), burn_in=0, thin=1)
@@ -32,7 +31,7 @@ def _chain(alpha, beta=None, accepted=0, proposed=1, index=0):
         lambda_means=np.ones(1),
         accepted=accepted,
         proposed=proposed,
-        chain_index=index,
+        chain_index=0,
         config=cfg,
     )
 
@@ -92,15 +91,10 @@ class TestGelmanRubin:
             gelman_rubin([[1.0, 2.0], [1.0, 2.0, 3.0]])
         with pytest.raises(ValueError, match="2 chains"):
             gelman_rubin([[1.0, 2.0, 3.0]])
-
-    def test_chainset_selector(self):
-        cs = ChainSet((_chain([1.0, 2.0, 3.0], beta=[5.0, 5.0, 5.0]),
-                       _chain([2.0, 3.0, 4.0], beta=[5.0, 5.0, 5.0], index=1)))
-        assert gelman_rubin(cs, "alpha") == pytest.approx(math.sqrt(7.0 / 6.0), rel=1e-12)
-        with pytest.raises(ValueError):
-            gelman_rubin(cs)  # param required
-        with pytest.raises(ValueError):
-            gelman_rubin(cs, "gamma")
+        with pytest.raises(ValueError, match="2 chains"):
+            gelman_rubin([])
+        with pytest.raises(ValueError, match="2 draws"):
+            gelman_rubin([[1.0], [2.0]])
 
 
 class TestAcceptanceRate:
@@ -160,5 +154,5 @@ class TestOutlierScores:
         order = lowest + [i for i in range(101) if i not in lowest]
         scores = np.empty(101)
         scores[order] = np.arange(101.0)
-        cs = ChainSet((dataclasses.replace(_chain([1.0, 2.0]), lambda_means=scores),))
+        cs = (dataclasses.replace(_chain([1.0, 2.0]), lambda_means=scores),)
         assert np.flatnonzero(outlier_scores(cs, d).flagged).tolist() == [96, 99, 100]

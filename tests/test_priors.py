@@ -9,15 +9,19 @@ from lomaxbayes import (
     Dataset,
     ImproperPosteriorError,
     LomaxParams,
+    McmcConfig,
     PriorKind,
+    StudyConfig,
     fisher_information,
     fisher_inverse,
     log_pdf,
     log_posterior,
     log_prior,
     min_sample_size,
+    run_chains,
     sample,
 )
+from lomaxbayes.sampler import run_chain
 
 GRID = [LomaxParams(beta=b, alpha=a) for b in (0.2, 1.0, 5.0) for a in (0.2, 1.0, 5.0)]
 
@@ -31,6 +35,18 @@ class TestPriorKind:
             assert log_prior(PriorKind.JEFFREYS_INDEPENDENT, p) == log_prior(
                 PriorKind.REFERENCE, p
             )
+
+    @pytest.mark.parametrize("call", [
+        lambda kind: run_chains(Dataset([1.0, 2.0]), kind, McmcConfig(iterations=4, burn_in=0, thin=1)),
+        lambda kind: run_chain(Dataset([1.0, 2.0]), kind, McmcConfig(iterations=4, burn_in=0, thin=1)),
+        lambda kind: log_prior(kind, LomaxParams(1, 1)),
+        lambda kind: log_posterior(kind, LomaxParams(1, 1), Dataset([1.0, 2.0])),
+        lambda kind: StudyConfig(LomaxParams(2.0, 1.5), priors=(kind,)),
+    ], ids=["run_chains", "run_chain", "log_prior", "log_posterior", "StudyConfig"])
+    def test_label_is_not_taken_for_a_prior(self, call):
+        # the fall-through of log_prior_alpha once ran 1/(alpha beta) for "jeffreys"
+        with pytest.raises(TypeError, match="prior must be a PriorKind, got 'jeffreys'"):
+            call("jeffreys")
 
 
 class TestFisherInformation:

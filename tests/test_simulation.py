@@ -82,6 +82,11 @@ class TestStudyConfig:
         with pytest.raises(TypeError, match=f"^{name} must be an integer"):
             StudyConfig(true_params=TRUTH, **kwargs)
 
+    @pytest.mark.parametrize("priors", [PriorKind.REFERENCE, "reference"])
+    def test_priors_must_be_a_sequence(self, priors):
+        with pytest.raises(TypeError, match="priors must be a sequence of PriorKind"):
+            StudyConfig(true_params=TRUTH, priors=priors)
+
     def test_defaults_follow_study_design(self):
         cfg = StudyConfig(true_params=TRUTH)
         assert cfg.sample_sizes == (50, 100, 150, 200, 300, 500)
