@@ -4,8 +4,10 @@ diagnostics: summaries, PSRF, acceptance rate and outlier scores.
 
 Each observation carries a latent mixing value lambda_i; the sampler
 cycles lambda | (alpha, beta), beta | lambda, and a Metropolis-Hastings
-update of alpha | lambda.  The latent means double as outlier scores:
-an implausibly large observation drags its lambda_i toward zero.
+update of alpha | lambda.  The outlier scores are the posterior means of
+the latents, computed from the (alpha, beta) draws alone as the mean of
+E[lambda_i | alpha, beta] = (alpha+1) beta/(beta + x_i): an implausibly
+large observation gets a score near zero.
 """
 
 import numpy as np

@@ -1,4 +1,4 @@
-"""Posterior summaries, Gelman-Rubin diagnostic and latent-based outlier scores."""
+"""Posterior summaries, Gelman-Rubin diagnostic and latent-mean outlier scores."""
 
 from __future__ import annotations
 
@@ -30,18 +30,28 @@ class SummaryStats:
     ci_high: float
 
 
+def _exponent(draws: np.ndarray) -> int:
+    # k with max|draw| in [2^(k-1), 2^k), or 0 if that is 0, inf or NaN.  The
+    # draws times 2^-k lie in [-1, 1], exact unless they span over 300 decades,
+    # where squared deviations neither overflow nor underflow
+    return math.frexp(float(np.max(np.abs(draws))))[1]
+
+
 def summarize(draws) -> SummaryStats:
-    """Sample mean, SD (divisor n-1) and empirical 2.5%/97.5% quantiles."""
+    """Sample mean, SD (divisor n-1) and empirical 2.5%/97.5% quantiles.
+
+    They are computed on the draws times 2^-k and multiplied back by 2^k
+    (see ``_exponent``), so draws on a scale of 1e-300 or 1e300 keep their
+    spread, and the bits are those of the unscaled computation wherever it
+    neither overflows nor underflows.
+    """
     draws = np.asarray(draws, dtype=float).ravel()
     if draws.size < 2:
         raise ValueError("need at least 2 draws to summarize")
-    lo, hi = np.quantile(draws, [0.025, 0.975])
-    return SummaryStats(
-        mean=float(draws.mean()),
-        sd=float(draws.std(ddof=1)),
-        ci_low=float(lo),
-        ci_high=float(hi),
-    )
+    k = _exponent(draws)
+    draws = np.ldexp(draws, -k)
+    stats = [draws.mean(), draws.std(ddof=1), *np.quantile(draws, [0.025, 0.975])]
+    return SummaryStats(*np.ldexp(stats, k).tolist())
 
 
 def gelman_rubin(draws) -> float:
@@ -53,6 +63,9 @@ def gelman_rubin(draws) -> float:
     the chain means (divisor M-1).  Values below 1 are possible and
     reported as-is.  When every chain is constant (W = 0) the result is
     NaN if the chain means agree too (B = 0) and +inf if they differ.
+    The ratio is scale-free, so it is computed on the draws times 2^-k
+    (see ``_exponent``): draws on a scale of 1e-300 or 1e300 give the PSRF
+    of the same draws near 1.
     """
     rows = [np.asarray(c, dtype=float).ravel() for c in draws]
     if len(rows) < 2:
@@ -63,6 +76,7 @@ def gelman_rubin(draws) -> float:
     length = mat.shape[1]
     if length < 2:
         raise ValueError("need at least 2 draws per chain")
+    mat = np.ldexp(mat, -_exponent(mat))
     w = float(mat.var(axis=1, ddof=1).mean())
     b = length * float(mat.mean(axis=1).var(ddof=1))
     if w == 0.0:
@@ -79,29 +93,31 @@ def acceptance_rate(chain: Chain) -> float:
 
 @dataclass(frozen=True)
 class OutlierScores:
-    """Per-observation latent-mean scores; low score + large x flags an outlier."""
+    """Per-observation posterior latent means; low score + large x flags an outlier."""
 
     scores: np.ndarray
     flagged: np.ndarray
 
 
 def outlier_scores(chains: tuple[Chain, ...], d: Dataset) -> OutlierScores:
-    """Score observations by the pooled posterior mean of their latent lambda_i.
+    """Score observation i by the Rao-Blackwell mean of its latent lambda_i.
 
-    A large observation shrinks the Gamma(alpha+1, 1 + x_i/beta) latent
-    mean, so candidates sit in the low-score tail.  An observation is
-    flagged when its score falls below the 5th percentile of all scores
-    and x_i exceeds the 95th percentile of the data.
+    The score is the mean over the pooled draws of E[lambda_i | alpha, beta,
+    x] = (alpha+1) beta/(beta + x_i) (Gelfand & Smith 1990), so equal x get
+    equal scores and a larger x a lower one.  See ``_flags`` for the flags.
     """
-    scores = np.mean([c.lambda_means for c in chains], axis=0)
-    if scores.shape != (d.n,):
-        raise ValueError(
-            f"latent means have length {scores.shape[0]}, dataset has n={d.n}"
-        )
-    if d.n < 2:
-        flagged = np.zeros(d.n, dtype=bool)
-    else:
-        score_cut = np.percentile(scores, 5.0)
-        data_cut = np.percentile(d.x, 95.0)
-        flagged = (scores < score_cut) & (d.x > data_cut)
-    return OutlierScores(scores=scores, flagged=flagged)
+    total, work = np.zeros(d.n), np.empty(d.n)
+    for c in chains:
+        for a, b in zip(c.alpha.tolist(), c.beta.tolist()):
+            np.add(d.x, b, out=work)
+            np.divide((a + 1.0) * b, work, out=work)
+            total += work
+    scores = total / sum(c.alpha.size for c in chains)
+    return OutlierScores(scores=scores, flagged=_flags(scores, d.x))
+
+
+def _flags(scores: np.ndarray, x: np.ndarray) -> np.ndarray:
+    # scores below their 5th percentile whose x exceeds the data's 95th (none
+    # at n = 1).  Scores that fall as x grows put both cuts between the same
+    # order statistics, so this marks the x above their 95th percentile.
+    return (scores < np.percentile(scores, 5.0)) & (x > np.percentile(x, 95.0))

@@ -52,9 +52,9 @@ same operations in the same order.  So an iteration allocates no length-n
 array without changing any draw.  The scale stays ``1/(1 + x_i/beta)``
 rather than the equal ``beta/(beta + x_i)``: where ``x_i/beta``
 overflows, the first is 0, so the latent and then sum(lambda_i x_i) are
-0 and ``sample_beta`` raises ``DegenerateDataError`` (``fit`` on
-``[0]*99 + [1.0]`` exits 3), while the second stays positive and lets
-such a chain run on.  Which of the two is right belongs with moving the
+0 and ``run_chain`` raises ``DegenerateDataError`` naming that beta
+(``fit`` on ``[0]*99 + [1.0]`` exits 3), while the second stays positive
+and lets such a chain run on.  Which of the two is right belongs with moving the
 scale to log beta, not with the order of the draws.
 
 Each stage uses the numpy call with the least per-call cost among those
@@ -115,7 +115,7 @@ _SQRT_HALF = math.sqrt(0.5)
 
 
 class DegenerateDataError(ValueError):
-    """All observations are zero, so the scale conditional is degenerate."""
+    """The scale conditional is degenerate: all x_i or all lambda_i x_i are zero."""
 
 
 @dataclass(frozen=True)
@@ -158,16 +158,15 @@ class McmcConfig:
 
 @dataclass(frozen=True)
 class Chain:
-    """Post burn-in, thinned draws of one chain plus provenance.
+    """Post burn-in, thinned (alpha, beta) draws of one chain plus provenance.
 
-    ``lambda_means`` holds the per-observation mean of the latent
-    lambda_i over retained iterations; ``accepted``/``proposed`` count
-    shape-proposals over all iterations including burn-in.
+    The latents are not kept: the outlier scores need only these draws.
+    ``accepted``/``proposed`` count shape-proposals over all iterations
+    including burn-in.
     """
 
     alpha: np.ndarray
     beta: np.ndarray
-    lambda_means: np.ndarray
     accepted: int
     proposed: int
     chain_index: int
@@ -205,9 +204,7 @@ def sample_beta(lam: np.ndarray, d: Dataset, g: float) -> float:
     """
     s = float(lam.dot(d.x))
     if s <= 0.0:
-        raise DegenerateDataError(
-            "sum(lambda_i * x_i) is zero; the scale conditional needs at least one x_i > 0"
-        )
+        raise DegenerateDataError("sum(lambda_i * x_i) is zero")
     return s / g
 
 
@@ -272,14 +269,12 @@ def run_chain(d: Dataset, kind: PriorKind, cfg: McmcConfig, chain_index: int = 0
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(chain_index,)))
     alpha = float(rng.gamma(1.0))
     beta = float(rng.gamma(1.0))
-    # the latents and a scratch vector live in these two buffers for the
-    # whole chain; retained draws are copied out of them
+    # the latents and a scratch vector live in these buffers for the whole chain
     lam, work = np.empty(d.n), np.empty(d.n)
 
     retained = cfg.retained
     alpha_out = np.empty(retained)
     beta_out = np.empty(retained)
-    lam_sum = np.zeros(d.n)
     accepted = 0
     k = 0
 
@@ -292,7 +287,11 @@ def run_chain(d: Dataset, kind: PriorKind, cfg: McmcConfig, chain_index: int = 0
         log_us = np.log1p(-rng.random(_BLOCK)).tolist()
         for it, g, z, log_u in zip(range(start, cfg.iterations), gammas, normals, log_us):
             sample_lambda(alpha, beta, d, rng, lam, work)
-            beta = sample_beta(lam, d, g)
+            try:
+                beta = sample_beta(lam, d, g)
+            except DegenerateDataError:  # some x_i > 0, so only overflow zeroes the sum
+                msg = f"beta={beta!r} is so small that x_i/beta overflows for every x_i > 0"
+                raise DegenerateDataError(msg) from None
             sum_log_lam = float(np.add.reduce(np.log(lam, out=work)))
             alpha, terms, acc = _mh_step_alpha(
                 alpha, terms, kind, n, sum_log_lam, tuning, z, log_u, rng
@@ -301,14 +300,12 @@ def run_chain(d: Dataset, kind: PriorKind, cfg: McmcConfig, chain_index: int = 0
             if it >= burn_in and (it - burn_in + 1) % thin == 0:
                 alpha_out[k] = alpha
                 beta_out[k] = beta
-                lam_sum += lam
                 k += 1
 
     assert k == retained
     return Chain(
         alpha=alpha_out,
         beta=beta_out,
-        lambda_means=lam_sum / retained,
         accepted=accepted,
         proposed=cfg.iterations,
         chain_index=chain_index,

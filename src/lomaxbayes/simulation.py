@@ -47,7 +47,11 @@ CSV_COLUMNS = (
 
 @dataclass(frozen=True)
 class StudyConfig:
-    """True parameters, design grid and MCMC settings of one study."""
+    """True parameters, design grid and MCMC settings of one study.
+
+    ``mcmc.seed`` is ignored: each replicate's chains get a master seed
+    derived from ``seed``, the prior, n and the replicate index.
+    """
 
     true_params: LomaxParams
     sample_sizes: tuple[int, ...] = (50, 100, 150, 200, 300, 500)

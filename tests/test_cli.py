@@ -210,6 +210,40 @@ class TestFitCommand:
         with np.errstate(over="ignore"):
             assert main(["fit", data] + flags) == EXIT_NUMERIC
 
+    @pytest.mark.parametrize("text", ["1e300\n2e300\n3.0\n5.0\n", "0\n" * 99 + "1.0\n"])
+    def test_overflowed_scale_exits_3_naming_beta(self, tmp_path, capsys, text):
+        # every value of the first dataset is positive: the scale conditional
+        # fails because beta collapses until x_i/beta overflows for every x_i
+        data = _write(tmp_path, text)
+        flags = ["--iters", "3000", "--burnin", "1000", "--out", str(tmp_path / "o")]
+        with np.errstate(over="ignore", divide="ignore"):
+            assert main(["fit", data] + flags) == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert "is so small that x_i/beta overflows for every x_i > 0" in err
+        assert float(err.split("beta=")[1].split()[0]) < 1e-300
+
+    def test_tiny_scale_keeps_its_spread(self, tmp_path):
+        data = _write(tmp_path, "1e-300\n2e-300\n3e-300\n")
+        out = tmp_path / "out"
+        flags = ["--prior", "jeffreys", "--iters", "3000", "--burnin", "1000", "--out", str(out)]
+        assert main(["fit", data] + flags) == EXIT_OK
+        summary = json.loads((out / "summary.json").read_text())
+        trace = np.loadtxt(out / "trace.csv", delimiter=",", skiprows=1)
+        # the sd of the betas times 1e300, whose squares do not underflow
+        sd = float(np.std(trace[:, 3] * 1e300, ddof=1)) * 1e-300
+        assert summary["beta"]["sd"] == pytest.approx(sd, rel=1e-5, abs=0.0)
+        assert summary["psrf"]["beta"] is not None
+
+    def test_forked_and_serial_chains_write_the_same_artifacts(self, tmp_path, monkeypatch, process_pools):
+        data = _make_data_file(tmp_path)
+        flags = ["--iters", str(sampler._FORK_MIN_ITERATIONS), "--burnin", "100", "--thin", "10"]
+        for cpus in (2, 1):
+            monkeypatch.setattr(sampler, "_usable_cpus", lambda: cpus)
+            assert main(["fit", data, "--out", str(tmp_path / str(cpus))] + flags) == EXIT_OK
+        assert process_pools == [1]
+        for name in ("summary.json", "trace.csv", "outliers.csv"):
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
     def test_dependent_jeffreys_accepts_single_observation(self, tmp_path):
         data = _write(tmp_path, "5.0\n")
         out = tmp_path / "single"

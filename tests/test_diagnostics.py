@@ -1,6 +1,5 @@
 """Summaries, PSRF, acceptance rate and outlier scoring."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -19,6 +18,7 @@ from lomaxbayes import (
     sample,
     summarize,
 )
+from lomaxbayes.diagnostics import _flags
 
 
 def _chain(alpha, beta=None, accepted=0, proposed=1):
@@ -28,7 +28,6 @@ def _chain(alpha, beta=None, accepted=0, proposed=1):
     return Chain(
         alpha=alpha,
         beta=beta,
-        lambda_means=np.ones(1),
         accepted=accepted,
         proposed=proposed,
         chain_index=0,
@@ -57,6 +56,16 @@ class TestSummarize:
         assert s.ci_low == pytest.approx(0.025, abs=0.005)
         assert s.ci_high == pytest.approx(0.975, abs=0.005)
 
+    def test_exact_under_power_of_two_scaling(self):
+        # at 2^-1000 the unscaled squared deviations underflow to 0 and at
+        # 2^900 they overflow
+        v = np.random.default_rng(4).gamma(3.0, 1.0, 1000)
+        base = summarize(v)
+        for j in (-1000, -500, 500, 900):
+            s = summarize(np.ldexp(v, j))
+            want = [np.ldexp(f, j) for f in (base.mean, base.sd, base.ci_low, base.ci_high)]
+            assert [s.mean, s.sd, s.ci_low, s.ci_high] == want, j
+
     def test_permutation_invariant(self):
         rng = np.random.default_rng(3)
         draws = rng.gamma(2.0, 1.0, 500)
@@ -80,6 +89,13 @@ class TestGelmanRubin:
         rng = np.random.default_rng(2)
         mat = rng.normal(size=(3, 200))
         assert gelman_rubin(mat) == pytest.approx(gelman_rubin(-2.5 * mat + 7.0), rel=1e-12)
+
+    def test_exact_under_power_of_two_scaling(self):
+        mat = np.random.default_rng(6).gamma(3.0, 1.0, (2, 500))
+        base = gelman_rubin(mat)
+        assert math.isfinite(base)
+        for j in (-1000, -500, 500, 900):
+            assert gelman_rubin(np.ldexp(mat, j)) == base, j
 
     def test_constant_chains(self):
         # W = 0: equal chain means give NaN, different ones +inf, never a crash
@@ -149,10 +165,32 @@ class TestOutlierScores:
         # at n = 101 both percentiles are order statistics: the cuts keep the
         # 5 lowest scores and the x above 95, so moving either cut by one
         # percentile point changes the flagged set
-        d = Dataset(np.arange(101.0))  # observation i has x = i
+        x = np.arange(101.0)  # observation i has x = i
         lowest = [95, 0, 100, 99, 96, 98]  # in order of rising score
         order = lowest + [i for i in range(101) if i not in lowest]
         scores = np.empty(101)
         scores[order] = np.arange(101.0)
-        cs = (dataclasses.replace(_chain([1.0, 2.0]), lambda_means=scores),)
-        assert np.flatnonzero(outlier_scores(cs, d).flagged).tolist() == [96, 99, 100]
+        assert np.flatnonzero(_flags(scores, x)).tolist() == [96, 99, 100]
+
+    def test_rao_blackwell_mean_over_pooled_draws(self):
+        x = sample(LomaxParams(2.0, 1.5), np.random.default_rng(57), 40).x
+        d, cs = self._fit(x, seed=3)
+        a = np.concatenate([c.alpha for c in cs])[:, None]
+        b = np.concatenate([c.beta for c in cs])[:, None]
+        want = np.mean((a + 1.0) / (1.0 + d.x / b), axis=0)
+        np.testing.assert_allclose(outlier_scores(cs, d).scores, want, rtol=1e-12, atol=0.0)
+
+    def test_tied_observations_get_identical_scores(self):
+        d = Dataset([5.0] * 10 + [1.0, 9.0, 1.0])
+        cfg = McmcConfig(iterations=3000, burn_in=1000, thin=20, chains=2, seed=0)
+        scores = outlier_scores(run_chains(d, PriorKind.JEFFREYS_DEPENDENT, cfg), d).scores
+        assert np.unique(scores[:10]).size == 1
+        assert scores[10] == scores[12]
+
+    def test_scores_fall_as_x_grows_and_flags_are_the_top_of_x(self):
+        x = sample(LomaxParams(2.0, 1.5), np.random.default_rng(42), 500).x
+        d, cs = self._fit(x, seed=4)
+        result = outlier_scores(cs, d)
+        assert np.all(np.diff(result.scores[np.argsort(x)]) < 0)
+        np.testing.assert_array_equal(result.flagged, x > np.percentile(x, 95.0))
+        assert result.flagged.sum() == 25

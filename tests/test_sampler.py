@@ -299,7 +299,6 @@ class TestRunChain:
         c2 = run_chain(d, PriorKind.REFERENCE, cfg, chain_index=0)
         np.testing.assert_array_equal(c1.alpha, c2.alpha)
         np.testing.assert_array_equal(c1.beta, c2.beta)
-        np.testing.assert_array_equal(c1.lambda_means, c2.lambda_means)
         assert c1.accepted == c2.accepted
 
     @pytest.mark.parametrize("iterations", [1000, 1024, 1025])
@@ -334,8 +333,6 @@ class TestRunChain:
         c = run_chain(d, PriorKind.JEFFREYS_DEPENDENT, cfg)
         assert np.all(c.alpha > 0) and np.all(c.beta > 0)
         assert c.proposed == 800 and 0 <= c.accepted <= 800
-        assert c.lambda_means.shape == (20,)
-        assert np.all(c.lambda_means > 0)
 
     def test_propriety_guard(self):
         d = Dataset([1.0])
@@ -415,7 +412,7 @@ def _assert_chains_equal_run_chain(cs, d, kind, cfg):
     for i, c in enumerate(cs):
         ref = run_chain(d, kind, cfg, i)
         assert (c.chain_index, c.accepted) == (i, ref.accepted)
-        for field in ("alpha", "beta", "lambda_means"):
+        for field in ("alpha", "beta"):
             assert getattr(c, field).tobytes() == getattr(ref, field).tobytes()
 
 
@@ -437,7 +434,7 @@ def _allocating_chain(d, kind, cfg, chain_index=0):
     alpha = float(rng.gamma(1.0))
     beta = float(rng.gamma(1.0))
     tuning = cfg.tuning
-    alphas, betas, lam_sum = [], [], np.zeros(d.n)
+    alphas, betas = [], []
     accepted = 0
     for it in range(cfg.iterations):
         j = it % block
@@ -463,8 +460,7 @@ def _allocating_chain(d, kind, cfg, chain_index=0):
         if it >= cfg.burn_in and (it - cfg.burn_in + 1) % cfg.thin == 0:
             alphas.append(alpha)
             betas.append(beta)
-            lam_sum += lam
-    return np.array(alphas), np.array(betas), lam_sum / len(alphas), accepted
+    return np.array(alphas), np.array(betas), accepted
 
 
 # the 1/(alpha beta) density needs n >= 2, so n = 1 runs only under dependent Jeffreys
@@ -487,24 +483,22 @@ class TestBufferedKernelIdentity:
         d = _data(n, seed=n)
         cfg = McmcConfig(iterations=600, burn_in=100, thin=thin, seed=2718, tuning=tuning)
         c = run_chain(d, kind, cfg, chain_index=chain_index)
-        alpha, beta, lam_means, accepted = _allocating_chain(d, kind, cfg, chain_index)
+        alpha, beta, accepted = _allocating_chain(d, kind, cfg, chain_index)
         assert 0 < accepted < cfg.iterations
         assert c.accepted == accepted
         assert c.alpha.tobytes() == alpha.tobytes()
         assert c.beta.tobytes() == beta.tobytes()
-        assert c.lambda_means.tobytes() == lam_means.tobytes()
 
     def test_matches_allocating_loop_across_blocks(self):
         d = _data(50, seed=50)
         cfg = McmcConfig(iterations=2100, burn_in=100, thin=5, seed=2718)
         c = run_chain(d, PriorKind.JEFFREYS_DEPENDENT, cfg)
-        alpha, beta, lam_means, accepted = _allocating_chain(d, PriorKind.JEFFREYS_DEPENDENT, cfg)
+        alpha, beta, accepted = _allocating_chain(d, PriorKind.JEFFREYS_DEPENDENT, cfg)
         assert c.accepted == accepted
         assert c.alpha.tobytes() == alpha.tobytes()
         assert c.beta.tobytes() == beta.tobytes()
-        assert c.lambda_means.tobytes() == lam_means.tobytes()
 
-    def test_retained_draws_do_not_alias_the_buffer(self, monkeypatch):
+    def test_one_pair_of_buffers_per_chain(self, monkeypatch):
         buffers = []
         orig = sampler.sample_lambda
 
@@ -515,12 +509,9 @@ class TestBufferedKernelIdentity:
         monkeypatch.setattr(sampler, "sample_lambda", spy)
         d = _data(8)
         cfg = McmcConfig(iterations=60, burn_in=10, thin=5, seed=4)
-        c = run_chain(d, PriorKind.REFERENCE, cfg)
-        # one pair of buffers for the whole chain
+        run_chain(d, PriorKind.REFERENCE, cfg)
         assert len(buffers) == 60
         assert all(b[0] is buffers[0][0] and b[1] is buffers[0][1] for b in buffers)
-        for buf in buffers[0]:
-            assert not np.shares_memory(c.lambda_means, buf)
 
 
 class TestMixingBehavior:
