@@ -1,6 +1,9 @@
 #!/usr/bin/env python3
 """Objective priors: Fisher information, the three prior densities, and
 where the joint posterior puts its mass on a grid.
+
+``fisher_information`` and ``fisher_inverse`` return plain symmetric 2x2
+numpy arrays, so they print and multiply as they are.
 """
 
 import numpy as np
@@ -19,11 +22,11 @@ p = LomaxParams(beta=1.0, alpha=1.0)
 info = fisher_information(p)
 inv = fisher_inverse(p)
 print(f"Fisher information at (beta={p.beta}, alpha={p.alpha}):")
-print(info.as_array())
+print(info)
 print("closed-form inverse:")
-print(inv.as_array())
+print(inv)
 print("product (identity up to roundoff):")
-print(info.as_array() @ inv.as_array())
+print(info @ inv)
 
 print("\nunnormalized log priors at a few points:")
 print(f"{'beta':>6} {'alpha':>6} {'jeffreys':>10} {'indep':>10} {'reference':>10}")

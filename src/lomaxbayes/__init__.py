@@ -28,7 +28,6 @@ from .distribution import (
     variance,
 )
 from .priors import (
-    FisherMatrix,
     ImproperPosteriorError,
     PriorKind,
     check_propriety,
@@ -37,7 +36,6 @@ from .priors import (
     log_likelihood,
     log_posterior,
     log_prior,
-    min_sample_size,
 )
 from .sampler import (
     Chain,
@@ -63,7 +61,6 @@ __all__ = [
     "Chain",
     "Dataset",
     "DegenerateDataError",
-    "FisherMatrix",
     "ImproperPosteriorError",
     "LomaxParams",
     "McmcConfig",
@@ -87,7 +84,6 @@ __all__ = [
     "log_prior",
     "mean",
     "median",
-    "min_sample_size",
     "outlier_scores",
     "rmse",
     "run_chains",

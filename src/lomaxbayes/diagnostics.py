@@ -93,7 +93,7 @@ def acceptance_rate(chain: Chain) -> float:
 
 @dataclass(frozen=True)
 class OutlierScores:
-    """Per-observation posterior latent means; low score + large x flags an outlier."""
+    """Per-observation posterior latent means and the flags of the largest x."""
 
     scores: np.ndarray
     flagged: np.ndarray
@@ -104,7 +104,9 @@ def outlier_scores(chains: tuple[Chain, ...], d: Dataset) -> OutlierScores:
 
     The score is the mean over the pooled draws of E[lambda_i | alpha, beta,
     x] = (alpha+1) beta/(beta + x_i) (Gelfand & Smith 1990), so equal x get
-    equal scores and a larger x a lower one.  See ``_flags`` for the flags.
+    equal scores and a larger x a lower one.  The flags mark the x above
+    their 95th percentile (none at n = 1): since every score falls as x
+    grows, these are also the lowest scores.
     """
     total, work = np.zeros(d.n), np.empty(d.n)
     for c in chains:
@@ -113,11 +115,4 @@ def outlier_scores(chains: tuple[Chain, ...], d: Dataset) -> OutlierScores:
             np.divide((a + 1.0) * b, work, out=work)
             total += work
     scores = total / sum(c.alpha.size for c in chains)
-    return OutlierScores(scores=scores, flagged=_flags(scores, d.x))
-
-
-def _flags(scores: np.ndarray, x: np.ndarray) -> np.ndarray:
-    # scores below their 5th percentile whose x exceeds the data's 95th (none
-    # at n = 1).  Scores that fall as x grows put both cuts between the same
-    # order statistics, so this marks the x above their 95th percentile.
-    return (scores < np.percentile(scores, 5.0)) & (x > np.percentile(x, 95.0))
+    return OutlierScores(scores=scores, flagged=d.x > np.percentile(d.x, 95.0))

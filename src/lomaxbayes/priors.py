@@ -9,13 +9,19 @@ Three unnormalized priors on (beta, alpha):
 The independent-Jeffreys and reference priors share one density but are
 kept as distinct labels so reports can name whichever was requested.
 All log densities pin their additive constant to 0.
+
+``fisher_information`` and ``fisher_inverse`` return the information of n
+observations and its closed-form inverse as symmetric float64 (2, 2)
+arrays in (beta, alpha) order; the dependent Jeffreys density is
+proportional to the square root of the information's determinant.
+``check_propriety`` is the one statement of the smallest n each prior
+accepts.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +29,6 @@ from .distribution import Dataset, LomaxParams
 
 __all__ = [
     "PriorKind",
-    "FisherMatrix",
     "ImproperPosteriorError",
     "fisher_information",
     "fisher_inverse",
@@ -31,7 +36,6 @@ __all__ = [
     "log_prior_alpha",
     "log_likelihood",
     "log_posterior",
-    "min_sample_size",
     "check_propriety",
 ]
 
@@ -48,41 +52,20 @@ class PriorKind(enum.Enum):
     REFERENCE = "reference"
 
 
-@dataclass(frozen=True)
-class FisherMatrix:
-    """Symmetric 2x2 information matrix in (beta, alpha) coordinates.
+def fisher_information(p: LomaxParams, n: int = 1) -> np.ndarray:
+    """Fisher information n * [[a/(b^2(a+2)), -1/(b(a+1))], [., 1/a^2]] in (beta, alpha).
 
-    Entries already include the sample-size factor ``n`` recorded alongside.
+    A symmetric float64 (2, 2) array.
     """
-
-    i11: float
-    i12: float
-    i22: float
-    n: int = 1
-
-    @property
-    def det(self) -> float:
-        return self.i11 * self.i22 - self.i12 * self.i12
-
-    def as_array(self) -> np.ndarray:
-        return np.array([[self.i11, self.i12], [self.i12, self.i22]])
-
-
-def fisher_information(p: LomaxParams, n: int = 1) -> FisherMatrix:
-    """Fisher information n * [[a/(b^2(a+2)), -1/(b(a+1))], [., 1/a^2]]."""
     if n < 1:
         raise ValueError("n must be >= 1")
     b, a = p.beta, p.alpha
-    return FisherMatrix(
-        i11=n * a / (b * b * (a + 2.0)),
-        i12=-n / (b * (a + 1.0)),
-        i22=n / (a * a),
-        n=int(n),
-    )
+    i12 = -n / (b * (a + 1.0))
+    return np.array([[n * a / (b * b * (a + 2.0)), i12], [i12, n / (a * a)]])
 
 
-def fisher_inverse(p: LomaxParams, n: int = 1) -> FisherMatrix:
-    """Closed-form inverse of :func:`fisher_information`.
+def fisher_inverse(p: LomaxParams, n: int = 1) -> np.ndarray:
+    """Closed-form inverse of :func:`fisher_information`, a symmetric (2, 2) array.
 
     (1/n) * [[b^2(a+2)(a+1)^2/a, b a (a+2)(a+1)], [., a^2(a+1)^2]]; the
     product with the information matrix is the identity exactly.
@@ -90,12 +73,9 @@ def fisher_inverse(p: LomaxParams, n: int = 1) -> FisherMatrix:
     if n < 1:
         raise ValueError("n must be >= 1")
     b, a = p.beta, p.alpha
-    return FisherMatrix(
-        i11=b * b * (a + 2.0) * (a + 1.0) ** 2 / (a * n),
-        i12=b * a * (a + 2.0) * (a + 1.0) / n,
-        i22=a * a * (a + 1.0) ** 2 / n,
-        n=int(n),
-    )
+    i11 = b * b * (a + 2.0) * (a + 1.0) ** 2 / (a * n)
+    i12 = b * a * (a + 2.0) * (a + 1.0) / n
+    return np.array([[i11, i12], [i12, a * a * (a + 1.0) ** 2 / n]])
 
 
 def _check_kind(kind) -> None:
@@ -119,22 +99,17 @@ def log_prior(kind: PriorKind, p: LomaxParams) -> float:
     return -math.log(p.beta) + log_prior_alpha(kind, p.alpha)
 
 
-def min_sample_size(kind: PriorKind) -> int:
-    """Smallest n that :func:`check_propriety` accepts under ``kind``.
-
-    The 1/(alpha beta) priors need n >= 2, though their posterior is improper
-    at every n; the dependent Jeffreys prior runs from n = 1.
-    """
-    return 1 if kind is PriorKind.JEFFREYS_DEPENDENT else 2
-
-
 def check_propriety(kind: PriorKind, n: int) -> None:
-    """Raise :class:`ImproperPosteriorError` when n is below :func:`min_sample_size`.
+    """Raise :class:`ImproperPosteriorError` when n is below ``kind``'s minimum.
 
-    Raises ``TypeError`` when ``kind`` is not a :class:`PriorKind`.
+    The one statement of each prior's minimum n: the dependent Jeffreys
+    prior runs from n = 1, the 1/(alpha beta) priors need n >= 2.  Passing
+    this check does not make the 1/(alpha beta) posterior proper, which is
+    improper at every n.  Raises ``TypeError`` when ``kind`` is not a
+    :class:`PriorKind`.
     """
     _check_kind(kind)
-    need = min_sample_size(kind)
+    need = 1 if kind is PriorKind.JEFFREYS_DEPENDENT else 2
     if n < need:
         raise ImproperPosteriorError(
             f"improper posterior: prior {kind.value!r} requires n >= {need}, got n={n}"

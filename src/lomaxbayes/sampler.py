@@ -51,10 +51,12 @@ the same stream, and the scale ``1/(1 + x_i/beta)`` is computed with the
 same operations in the same order.  So an iteration allocates no length-n
 array without changing any draw.  The scale stays ``1/(1 + x_i/beta)``
 rather than the equal ``beta/(beta + x_i)``: where ``x_i/beta``
-overflows, the first is 0, so the latent and then sum(lambda_i x_i) are
-0 and ``run_chain`` raises ``DegenerateDataError`` naming that beta
-(``fit`` on ``[0]*99 + [1.0]`` exits 3), while the second stays positive
-and lets such a chain run on.  Which of the two is right belongs with moving the
+overflows, the first is 0, so the latent is 0 and ``run_chain`` raises
+``DegenerateDataError`` naming that beta: for every x_i > 0 when
+sum(lambda_i x_i) is then 0 (``fit`` on ``[0]*99 + [1.0]`` exits 3), and
+for some x_i > 0 when only sum(log lambda_i) is -inf (``fit`` on ``1e300,
+2e300, 3.0, 5.0`` exits 3), while the second stays positive and lets such
+a chain run on.  Which of the two is right belongs with moving the
 scale to log beta, not with the order of the draws.
 
 Each stage uses the numpy call with the least per-call cost among those
@@ -255,6 +257,12 @@ def _mh_step_alpha(
     return current, terms, False
 
 
+def _overflow(beta: float, which: str) -> DegenerateDataError:
+    # beta is the scale the latents were drawn with
+    msg = f"beta={beta!r} is so small that x_i/beta overflows for {which} x_i > 0"
+    return DegenerateDataError(msg)
+
+
 def run_chain(d: Dataset, kind: PriorKind, cfg: McmcConfig, chain_index: int = 0) -> Chain:
     """Run one chain of the Gibbs sampler and return its retained draws.
 
@@ -280,27 +288,32 @@ def run_chain(d: Dataset, kind: PriorKind, cfg: McmcConfig, chain_index: int = 0
 
     n, burn_in, thin, tuning = d.n, cfg.burn_in, cfg.thin, cfg.tuning
     terms = _alpha_terms(kind, alpha, n, tuning)
-    for start in range(0, cfg.iterations, _BLOCK):
-        # whole blocks, even the last: a chain is a prefix of a longer one
-        gammas = rng.standard_gamma(n, _BLOCK).tolist()
-        normals = rng.standard_normal(_BLOCK).tolist()
-        log_us = np.log1p(-rng.random(_BLOCK)).tolist()
-        for it, g, z, log_u in zip(range(start, cfg.iterations), gammas, normals, log_us):
-            sample_lambda(alpha, beta, d, rng, lam, work)
-            try:
-                beta = sample_beta(lam, d, g)
-            except DegenerateDataError:  # some x_i > 0, so only overflow zeroes the sum
-                msg = f"beta={beta!r} is so small that x_i/beta overflows for every x_i > 0"
-                raise DegenerateDataError(msg) from None
-            sum_log_lam = float(np.add.reduce(np.log(lam, out=work)))
-            alpha, terms, acc = _mh_step_alpha(
-                alpha, terms, kind, n, sum_log_lam, tuning, z, log_u, rng
-            )
-            accepted += acc
-            if it >= burn_in and (it - burn_in + 1) % thin == 0:
-                alpha_out[k] = alpha
-                beta_out[k] = beta
-                k += 1
+    # an overflowed x_i/beta and the log of the 0 latent it gives are caught
+    # below by value, so numpy need not warn of them (entered once per chain)
+    with np.errstate(over="ignore", divide="ignore"):
+        for start in range(0, cfg.iterations, _BLOCK):
+            # whole blocks, even the last: a chain is a prefix of a longer one
+            gammas = rng.standard_gamma(n, _BLOCK).tolist()
+            normals = rng.standard_normal(_BLOCK).tolist()
+            log_us = np.log1p(-rng.random(_BLOCK)).tolist()
+            for it, g, z, log_u in zip(range(start, cfg.iterations), gammas, normals, log_us):
+                sample_lambda(alpha, beta, d, rng, lam, work)
+                try:
+                    new_beta = sample_beta(lam, d, g)
+                except DegenerateDataError:  # some x_i > 0, so only overflow zeroes the sum
+                    raise _overflow(beta, "every") from None
+                sum_log_lam = float(np.add.reduce(np.log(lam, out=work)))
+                if sum_log_lam == -math.inf:  # a latent is 0: its x_i/beta overflowed
+                    raise _overflow(beta, "some")
+                beta = new_beta
+                alpha, terms, acc = _mh_step_alpha(
+                    alpha, terms, kind, n, sum_log_lam, tuning, z, log_u, rng
+                )
+                accepted += acc
+                if it >= burn_in and (it - burn_in + 1) % thin == 0:
+                    alpha_out[k] = alpha
+                    beta_out[k] = beta
+                    k += 1
 
     assert k == retained
     return Chain(

@@ -207,17 +207,26 @@ class TestFitCommand:
         monkeypatch.setattr(sampler, "_usable_cpus", lambda: 2)
         data = _write(tmp_path, "0\n" * 99 + "1.0\n")
         flags = ["--iters", "4000", "--burnin", "1000", "--thin", "10", "--out", str(tmp_path / "o")]
-        with np.errstate(over="ignore"):
-            assert main(["fit", data] + flags) == EXIT_NUMERIC
+        assert main(["fit", data] + flags) == EXIT_NUMERIC
 
-    @pytest.mark.parametrize("text", ["1e300\n2e300\n3.0\n5.0\n", "0\n" * 99 + "1.0\n"])
-    def test_overflowed_scale_exits_3_naming_beta(self, tmp_path, capsys, text):
-        # every value of the first dataset is positive: the scale conditional
-        # fails because beta collapses until x_i/beta overflows for every x_i
-        data = _write(tmp_path, text)
+    @pytest.mark.parametrize("prior", ["reference", "jeffreys"])
+    def test_overflowed_scale_exits_3_naming_beta(self, tmp_path, capsys, prior):
+        # every value is positive: beta collapses until x_i/beta overflows for
+        # the largest x_i, whose latent is then 0, while the sum of
+        # lambda_i x_i stays positive; the chain stops at that first 0 latent
+        x = [1e300, 2e300, 3.0, 5.0]
+        data = _write(tmp_path, "".join(f"{v!r}\n" for v in x))
+        flags = ["--prior", prior, "--iters", "3000", "--burnin", "1000", "--out", str(tmp_path / "o")]
+        assert main(["fit", data] + flags) == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert "is so small that x_i/beta overflows for some x_i > 0" in err
+        assert float(err.split("beta=")[1].split()[0]) < max(x) / sys.float_info.max
+
+    def test_zero_heavy_overflow_exits_3_naming_beta(self, tmp_path, capsys):
+        # the one positive x_i overflows, so every lambda_i x_i is 0
+        data = _write(tmp_path, "0\n" * 99 + "1.0\n")
         flags = ["--iters", "3000", "--burnin", "1000", "--out", str(tmp_path / "o")]
-        with np.errstate(over="ignore", divide="ignore"):
-            assert main(["fit", data] + flags) == EXIT_NUMERIC
+        assert main(["fit", data] + flags) == EXIT_NUMERIC
         err = capsys.readouterr().err
         assert "is so small that x_i/beta overflows for every x_i > 0" in err
         assert float(err.split("beta=")[1].split()[0]) < 1e-300

@@ -18,7 +18,6 @@ from lomaxbayes import (
     sample,
     summarize,
 )
-from lomaxbayes.diagnostics import _flags
 
 
 def _chain(alpha, beta=None, accepted=0, proposed=1):
@@ -161,16 +160,12 @@ class TestOutlierScores:
         means = (alpha + 1.0) / (1.0 + xs / beta)
         assert np.all(np.diff(means) < 0)
 
-    def test_cuts_are_5th_score_and_95th_data_percentiles(self):
-        # at n = 101 both percentiles are order statistics: the cuts keep the
-        # 5 lowest scores and the x above 95, so moving either cut by one
-        # percentile point changes the flagged set
-        x = np.arange(101.0)  # observation i has x = i
-        lowest = [95, 0, 100, 99, 96, 98]  # in order of rising score
-        order = lowest + [i for i in range(101) if i not in lowest]
-        scores = np.empty(101)
-        scores[order] = np.arange(101.0)
-        assert np.flatnonzero(_flags(scores, x)).tolist() == [96, 99, 100]
+    def test_flags_are_the_x_above_their_95th_percentile(self):
+        # at n = 101 the 95th percentile is the order statistic x = 95, so
+        # moving the cut by one percentile point changes the flagged set
+        x = np.random.default_rng(5).permutation(101).astype(float)  # a permutation of 0..100
+        result = outlier_scores((_chain([1.5, 2.5], [2.0, 3.0], proposed=2),), Dataset(x))
+        assert sorted(x[result.flagged].tolist()) == [96.0, 97.0, 98.0, 99.0, 100.0]
 
     def test_rao_blackwell_mean_over_pooled_draws(self):
         x = sample(LomaxParams(2.0, 1.5), np.random.default_rng(57), 40).x

@@ -40,9 +40,10 @@ def test_scaling_x_and_beta_by_a_power_of_two(draws, x, j):
     alphas, betas = draws
     scaled_betas = [np.ldexp(b, j) for b in betas]
 
-    scores = outlier_scores(_chains(alphas, betas), Dataset(x)).scores
+    result = outlier_scores(_chains(alphas, betas), Dataset(x))
+    np.testing.assert_array_equal(result.flagged, np.array(x) > np.percentile(x, 95.0))
     scaled = outlier_scores(_chains(alphas, scaled_betas), Dataset(np.ldexp(x, j))).scores
-    np.testing.assert_allclose(scaled, scores, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(scaled, result.scores, rtol=1e-12, atol=0.0)
 
     base = summarize(np.concatenate(betas))
     s = summarize(np.concatenate(scaled_betas))

@@ -12,12 +12,12 @@ from lomaxbayes import (
     McmcConfig,
     PriorKind,
     StudyConfig,
+    check_propriety,
     fisher_information,
     fisher_inverse,
     log_pdf,
     log_posterior,
     log_prior,
-    min_sample_size,
     run_chains,
     sample,
 )
@@ -49,62 +49,67 @@ class TestPriorKind:
             call("jeffreys")
 
 
+def _assert_symmetric_2x2(m):
+    assert isinstance(m, np.ndarray)
+    assert m.dtype == np.float64 and m.shape == (2, 2)
+    assert m[0, 1] == m[1, 0]
+
+
 class TestFisherInformation:
     def test_unit_case(self):
         m = fisher_information(LomaxParams(1, 1))
-        np.testing.assert_allclose(
-            m.as_array(), [[1 / 3, -1 / 2], [-1 / 2, 1.0]], rtol=1e-15
-        )
+        _assert_symmetric_2x2(m)
+        assert m.tolist() == [[1 / 3, -1 / 2], [-1 / 2, 1.0]]
 
     def test_two_two_case(self):
         m = fisher_information(LomaxParams(2, 2))
-        np.testing.assert_allclose(
-            m.as_array(), [[1 / 8, -1 / 6], [-1 / 6, 1 / 4]], rtol=1e-15
-        )
+        _assert_symmetric_2x2(m)
+        np.testing.assert_allclose(m, [[1 / 8, -1 / 6], [-1 / 6, 1 / 4]], rtol=1e-15)
 
     def test_scales_linearly_in_n(self):
         p = LomaxParams(2.0, 1.5)
-        np.testing.assert_allclose(
-            fisher_information(p, 10).as_array(),
-            10.0 * fisher_information(p, 1).as_array(),
-            rtol=1e-15,
-        )
+        m = fisher_information(p, 10)
+        _assert_symmetric_2x2(m)
+        np.testing.assert_allclose(m, 10.0 * fisher_information(p, 1), rtol=1e-15)
 
     @pytest.mark.parametrize("p", GRID)
     def test_symmetric_positive_definite(self, p):
         m = fisher_information(p)
-        assert m.i11 > 0 and m.det > 0
-        assert np.all(np.linalg.eigvalsh(m.as_array()) > 0)
+        _assert_symmetric_2x2(m)
+        assert m[0, 0] > 0 and np.linalg.det(m) > 0
+        assert np.all(np.linalg.eigvalsh(m) > 0)
 
-    def test_rejects_nonpositive_n(self):
-        with pytest.raises(ValueError):
-            fisher_information(LomaxParams(1, 1), 0)
+    @pytest.mark.parametrize("f", [fisher_information, fisher_inverse])
+    def test_rejects_nonpositive_n(self, f):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            f(LomaxParams(1, 1), 0)
 
 
 class TestFisherInverse:
     def test_unit_case_exact(self):
         m = fisher_inverse(LomaxParams(1, 1))
-        assert (m.i11, m.i12, m.i22) == (12.0, 6.0, 4.0)
+        _assert_symmetric_2x2(m)
+        assert m.tolist() == [[12.0, 6.0], [6.0, 4.0]]
 
     def test_two_two_case_matches_numerical_inverse(self):
         # closed form gives [[72, 48], [48, 36]]; cross-check against
         # direct numerical inversion of the information matrix
         p = LomaxParams(2, 2)
-        closed = fisher_inverse(p).as_array()
+        closed = fisher_inverse(p)
+        _assert_symmetric_2x2(closed)
         np.testing.assert_allclose(closed, [[72.0, 48.0], [48.0, 36.0]], rtol=1e-14)
-        np.testing.assert_allclose(
-            closed, np.linalg.inv(fisher_information(p).as_array()), rtol=1e-12
-        )
+        np.testing.assert_allclose(closed, np.linalg.inv(fisher_information(p)), rtol=1e-12)
 
     def test_identity_product_with_sample_size(self):
         p = LomaxParams(5.0, 0.7)
-        prod = fisher_information(p, 3).as_array() @ fisher_inverse(p, 3).as_array()
+        prod = fisher_information(p, 3) @ fisher_inverse(p, 3)
         np.testing.assert_allclose(prod, np.eye(2), atol=1e-12)
 
     @pytest.mark.parametrize("p", GRID)
     def test_identity_product_on_grid(self, p):
-        prod = fisher_information(p).as_array() @ fisher_inverse(p).as_array()
-        np.testing.assert_allclose(prod, np.eye(2), atol=1e-12)
+        m = fisher_inverse(p)
+        _assert_symmetric_2x2(m)
+        np.testing.assert_allclose(fisher_information(p) @ m, np.eye(2), atol=1e-12)
 
 
 class TestLogPrior:
@@ -123,10 +128,10 @@ class TestLogPrior:
     @pytest.mark.parametrize("p", GRID)
     def test_sqrt_fisher_det_proportional_to_dependent_jeffreys(self, p):
         # log sqrt(det I) - log prior must be constant over the grid
-        gap = 0.5 * math.log(fisher_information(p).det) - log_prior(
+        gap = 0.5 * math.log(np.linalg.det(fisher_information(p))) - log_prior(
             PriorKind.JEFFREYS_DEPENDENT, p
         )
-        ref = 0.5 * math.log(fisher_information(GRID[0]).det) - log_prior(
+        ref = 0.5 * math.log(np.linalg.det(fisher_information(GRID[0]))) - log_prior(
             PriorKind.JEFFREYS_DEPENDENT, GRID[0]
         )
         assert gap == pytest.approx(ref, abs=1e-12)
@@ -148,10 +153,17 @@ class TestLogPosterior:
         got = log_posterior(PriorKind.JEFFREYS_DEPENDENT, LomaxParams(1, 1), Dataset([1.0]))
         assert math.isfinite(got)
 
-    def test_min_sample_sizes(self):
-        assert min_sample_size(PriorKind.JEFFREYS_DEPENDENT) == 1
-        assert min_sample_size(PriorKind.REFERENCE) == 2
-        assert min_sample_size(PriorKind.JEFFREYS_INDEPENDENT) == 2
+    @pytest.mark.parametrize("kind, need", [
+        (PriorKind.JEFFREYS_DEPENDENT, 1),
+        (PriorKind.JEFFREYS_INDEPENDENT, 2),
+        (PriorKind.REFERENCE, 2),
+    ], ids=lambda v: v.value if isinstance(v, PriorKind) else str(v))
+    def test_check_propriety_minimum_n(self, kind, need):
+        check_propriety(kind, need)
+        msg = f"improper posterior: prior '{kind.value}' requires n >= {need}, got n={need - 1}"
+        with pytest.raises(ImproperPosteriorError) as info:
+            check_propriety(kind, need - 1)
+        assert str(info.value) == msg
 
     @pytest.mark.parametrize("kind", list(PriorKind))
     def test_equals_loglik_plus_logprior_up_to_constant(self, kind):
