@@ -48,7 +48,7 @@ class DataFormatError(ValueError):
 # exception classes -> (message label, exit code); the first match wins
 _ERRORS = (
     ((DataFormatError, OSError), "data error", EXIT_DATA),
-    ((ImproperPosteriorError, DegenerateDataError, FloatingPointError), "numerical error", EXIT_NUMERIC),
+    ((ImproperPosteriorError, DegenerateDataError), "numerical error", EXIT_NUMERIC),
     (ValueError, "invalid configuration", EXIT_USAGE),
 )
 
@@ -57,7 +57,9 @@ def parse_dataset(path) -> Dataset:
     """Read a dataset: one nonnegative real per line.
 
     Blank lines and lines starting with ``#`` are ignored; a
-    single-column CSV with one optional header row is accepted too.
+    single-column CSV with one optional header row is accepted too.  The
+    first value line is that header only if some whitespace-separated
+    token in it is not a number.
     """
     values: list[float] = []
     saw_candidate = False
@@ -78,7 +80,7 @@ def parse_dataset(path) -> Dataset:
                 try:
                     value = float(fields[0])
                 except ValueError:
-                    if first_candidate:
+                    if first_candidate and not all(map(_is_float, fields[0].split())):
                         continue  # header row
                     raise DataFormatError(
                         f"{path}: line {lineno}: unparsable value {fields[0]!r}"
@@ -94,6 +96,14 @@ def parse_dataset(path) -> Dataset:
     if not values:
         raise DataFormatError(f"{path}: empty dataset")
     return Dataset(np.array(values))
+
+
+def _is_float(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
 
 
 def _sig6(value: float):
@@ -194,7 +204,8 @@ def cmd_simulate(args) -> int:
     report = run_study(study, n_jobs=args.jobs, progress=not args.quiet)
 
     out.mkdir(parents=True, exist_ok=True)
-    report.to_csv(out / "simulation.csv")
+    with open(out / "simulation.csv", "w", encoding="utf-8", newline="") as fh:
+        report.to_csv(fh)
     print(report.table())
     print(f"artifacts written to {out}")
     return EXIT_OK

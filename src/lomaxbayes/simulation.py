@@ -127,15 +127,8 @@ class SimReport:
     rows: tuple[CellStats, ...]
     estimates: dict
 
-    def to_csv(self, destination) -> None:
-        """Write rows as CSV; ``destination`` is a path or writable file."""
-        if hasattr(destination, "write"):
-            self._write_csv(destination)
-        else:
-            with open(destination, "w", encoding="utf-8", newline="") as fh:
-                self._write_csv(fh)
-
-    def _write_csv(self, fh) -> None:
+    def to_csv(self, fh) -> None:
+        """Write the header and rows as CSV to the writable text file ``fh``."""
         fh.write(CSV_COLUMNS + "\n")
         for r in self.rows:
             fh.write(",".join(_row(r, repr)) + "\n")
@@ -206,8 +199,9 @@ def fit_replicate(d: Dataset, kind: PriorKind, mcmc: McmcConfig) -> ReplicateFit
     return summarize_chains(run_chains(d, kind, mcmc))
 
 
-def _fit_one(cfg: StudyConfig, kind: PriorKind, n: int, j: int, fit_fn) -> ReplicateFit:
+def _fit_one(cfg: StudyConfig, fit_fn, key: tuple[PriorKind, int, int]) -> ReplicateFit:
     """Replicate j of cell (kind, n): draw its dataset and seed its chains, then fit."""
+    kind, n, j = key
     rng = np.random.default_rng(_dataset_seed(cfg.seed, n, j))
     d = sample(cfg.true_params, rng, n)
     mcmc = replace(cfg.mcmc, seed=_mcmc_seed(cfg.seed, kind, n, j))
@@ -227,7 +221,9 @@ def run_study(
     fit when given (stubs for harness tests); custom fit functions run
     serially.  Otherwise w = min(n_jobs, usable CPUs, replicates) worker
     processes fit the replicates when w > 1, and the caller fits them when
-    w = 1; results are reduced in (prior, n, j) order either way.
+    w = 1.  Either way the results are taken in (prior, n, j) order, and
+    the first failed replicate ends the study: the replicates not yet
+    started are cancelled.
     """
     if n_jobs < 1:
         raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
@@ -236,27 +232,27 @@ def run_study(
     keys = [(kind, n, j) for kind, n in cells for j in range(m)]
     w = min(n_jobs, sampler._usable_cpus(), len(keys))
     use_pool = fit_fn is None and w > 1
-    fit_fn = fit_fn or fit_replicate
+    fit = partial(_fit_one, cfg, fit_fn or fit_replicate)
 
-    fits: dict[tuple, ReplicateFit] = {}
+    fits: list[ReplicateFit] = []
     with ProcessPoolExecutor(max_workers=w) if use_pool else nullcontext() as pool:
-        if use_pool:
-            calls = [pool.submit(_fit_one, cfg, *key, fit_fn).result for key in keys]
-        else:
-            calls = [partial(_fit_one, cfg, *key, fit_fn) for key in keys]
-        for (kind, n, j), call in zip(keys, calls):
+        # Executor.map cancels the calls not yet started once a result raises
+        results = pool.map(fit, keys) if use_pool else map(fit, keys)
+        for kind, n, j in keys:
             try:
-                fits[(kind, n, j)] = call()
+                fits.append(next(results))
             except Exception as exc:
                 raise RuntimeError(
                     f"replicate {j} failed for prior={kind.value}, n={n}: {exc}"
                 ) from exc
-            _maybe_progress(progress, kind, n, j, m)
+            if progress and (j + 1 == m or (j + 1) % 10 == 0):
+                print(f"[simulate] prior={kind.value} n={n}: replicate {j + 1}/{m}",
+                      file=sys.stderr, flush=True)
 
     rows: list[CellStats] = []
     estimates: dict[tuple, np.ndarray] = {}
-    for kind, n in cells:
-        cell_fits = [fits[(kind, n, j)] for j in range(m)]
+    for c, (kind, n) in enumerate(cells):
+        cell_fits = fits[c * m:(c + 1) * m]
         for param in ("beta", "alpha"):
             stats = [getattr(f, param) for f in cell_fits]
             est = np.array([s.mean for s in stats])
@@ -278,12 +274,3 @@ def run_study(
             )
             estimates[(kind.value, n, param)] = est
     return SimReport(config=cfg, rows=tuple(rows), estimates=estimates)
-
-
-def _maybe_progress(progress: bool, kind: PriorKind, n: int, j: int, m: int) -> None:
-    if progress and (j + 1 == m or (j + 1) % 10 == 0):
-        print(
-            f"[simulate] prior={kind.value} n={n}: replicate {j + 1}/{m}",
-            file=sys.stderr,
-            flush=True,
-        )

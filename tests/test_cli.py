@@ -69,6 +69,9 @@ class TestParseDataset:
     def test_unparsable_token_names_line(self, tmp_path):
         with pytest.raises(DataFormatError, match="line 3"):
             parse_dataset(_write(tmp_path, "1\n2\nxyz\n"))
+        # a first line of numbers only is malformed data, not a header row
+        with pytest.raises(DataFormatError, match=r"line 1: unparsable value '1\.5 2\.5'"):
+            parse_dataset(_write(tmp_path, "1.5 2.5\n3.0\n4.0\n"))
 
     def test_two_columns_rejected(self, tmp_path):
         with pytest.raises(DataFormatError, match="line 1"):
@@ -368,17 +371,33 @@ class TestSimulateCommand:
         assert len(lines) == 1 + 2  # one (prior, n) cell, two parameters
         assert "rmse" in capsys.readouterr().out
 
-    def test_failed_replicate_exits_1_without_traceback(self, tmp_path, capsys):
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_failed_replicate_exits_1_without_traceback(self, tmp_path, monkeypatch, capsys, jobs):
+        # with --jobs 2 the error comes back from a pool worker with a remote traceback
+        monkeypatch.setattr(sampler, "_usable_cpus", lambda: 2)
         # beta = 1e300 overflows the sampled data to inf, which Dataset rejects
         flags = ["--beta", "1e300", "--alpha", "0.1", "--sizes", "50", "--replications", "2",
                  "--prior", "jeffreys", "--iters", "300", "--burnin", "100", "--thin", "2",
-                 "--quiet", "--out", str(tmp_path / "sim")]
+                 "--jobs", jobs, "--quiet", "--out", str(tmp_path / "sim")]
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             assert main(["simulate"] + flags) == EXIT_USAGE
         err = capsys.readouterr().err
         assert "replicate 0 failed for prior=jeffreys, n=50: observations must be finite" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("quiet", [False, True])
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_progress_lines(self, tmp_path, monkeypatch, capsys, jobs, quiet):
+        monkeypatch.setattr(sampler, "_usable_cpus", lambda: 2)
+        flags = [f for f in SIM_FLAGS if f != "--quiet"] + ["--quiet"] * quiet
+        flags += ["--replications", "12", "--jobs", jobs, "--out", str(tmp_path)]
+        assert main(["simulate"] + flags) == EXIT_OK
+        expected = [] if quiet else [
+            "[simulate] prior=reference n=6: replicate 10/12",
+            "[simulate] prior=reference n=6: replicate 12/12",
+        ]
+        assert capsys.readouterr().err.splitlines() == expected
 
     @pytest.mark.parametrize("flags", [
         ["--jobs", "0"],

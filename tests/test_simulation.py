@@ -1,6 +1,7 @@
 """Monte Carlo harness: bias/rmse formulas, aggregation and determinism."""
 
 import io
+import time
 
 import numpy as np
 import pytest
@@ -29,6 +30,19 @@ def _stub_fit(beta_mean, alpha_mean):
     stats_b = SummaryStats(mean=beta_mean, sd=0.1, ci_low=beta_mean - 0.2, ci_high=beta_mean + 0.2)
     stats_a = SummaryStats(mean=alpha_mean, sd=0.1, ci_low=alpha_mean - 0.2, ci_high=alpha_mean + 0.2)
     return ReplicateFit(beta=stats_b, alpha=stats_a, accept_rate=0.9, psrf_beta=1.0, psrf_alpha=1.0)
+
+
+_MARKER_DIR = None  # where _first_fails_rest_sleep marks each call; forked workers inherit it
+
+
+def _first_fails_rest_sleep(d, kind, mcmc):
+    """Stands in for fit_replicate in pool workers: marks the call, then replicate 0
+    (of a seed-0 study) raises at once and every other replicate sleeps 0.5 s."""
+    (_MARKER_DIR / str(mcmc.seed)).touch()
+    if mcmc.seed == simulation._mcmc_seed(0, kind, d.n, 0):
+        raise ValueError("stub failure")
+    time.sleep(0.5)
+    return _stub_fit(2.0, 1.5)
 
 
 class TestBiasRmse:
@@ -146,6 +160,19 @@ class TestRunStudyHarness:
         )
         with pytest.raises(RuntimeError, match="replicate 0 failed .*n=5"):
             run_study(cfg, fit_fn=fit)
+
+    def test_first_failed_replicate_stops_the_pool(self, tmp_path, monkeypatch):
+        # replicate 0's error must cancel the replicates queued behind it, not wait for them
+        monkeypatch.setattr(sampler, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(simulation, "fit_replicate", _first_fails_rest_sleep)
+        monkeypatch.setattr(f"{__name__}._MARKER_DIR", tmp_path)
+        cfg = StudyConfig(
+            true_params=TRUTH, sample_sizes=(5,), replications=40,
+            priors=(PriorKind.REFERENCE,), mcmc=FAST_MCMC, seed=0,
+        )
+        with pytest.raises(RuntimeError, match="replicate 0 failed .*n=5: stub failure"):
+            run_study(cfg, n_jobs=2)
+        assert len(list(tmp_path.iterdir())) <= 10
 
     @pytest.mark.parametrize("n_jobs", [0, -3])
     def test_rejects_fewer_than_one_job(self, n_jobs):
