@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Objective priors: Fisher information, the three prior densities, and
+"""Objective priors: Fisher information, the two prior densities, and
 where the joint posterior puts its mass on a grid.
 
 ``fisher_information`` and ``fisher_inverse`` return plain symmetric 2x2
@@ -29,12 +29,11 @@ print("product (identity up to roundoff):")
 print(info @ inv)
 
 print("\nunnormalized log priors at a few points:")
-print(f"{'beta':>6} {'alpha':>6} {'jeffreys':>10} {'indep':>10} {'reference':>10}")
+print(f"{'beta':>6} {'alpha':>6} " + " ".join(f"{k.value:>10}" for k in PriorKind))
 for b, a in ((1.0, 1.0), (2.0, 0.5), (5.0, 3.0)):
     q = LomaxParams(b, a)
     row = [log_prior(k, q) for k in PriorKind]
     print(f"{b:6.1f} {a:6.1f} " + " ".join(f"{v:10.4f}" for v in row))
-print("note: the independence-Jeffreys and reference priors share one density.")
 
 # posterior surface for a simulated dataset
 truth = LomaxParams(beta=2.0, alpha=1.5)

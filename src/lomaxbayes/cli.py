@@ -246,7 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     fit = sub.add_parser("fit", parents=[], help="fit a dataset from a file")
     fit.add_argument("data", help="dataset file: one value per line (or 1-column CSV)")
-    fit.add_argument("--prior", choices=PRIOR_CHOICES, default="reference")
+    fit.add_argument("--prior", choices=PRIOR_CHOICES, default="jeffreys",
+                     help="objective prior (default: jeffreys, the only one with a proper posterior)")
     _add_mcmc_flags(fit, McmcConfig(iterations=80000, burn_in=20000, thin=20))
     fit.set_defaults(func=cmd_fit)
 

@@ -81,6 +81,10 @@ class Dataset:
     def n(self) -> int:
         return int(self.x.size)
 
+    @property
+    def zeros(self) -> int:
+        return self.n - int(np.count_nonzero(self.x))
+
 
 def _as_nonneg(x):
     xv = np.asarray(x, dtype=float)

@@ -1,21 +1,18 @@
 """Objective priors for the Lomax model and the joint log posterior.
 
-Three unnormalized priors on (beta, alpha):
+Two unnormalized priors on (beta, alpha); log densities pin their constant to 0:
 
-* dependent Jeffreys:    1 / (beta (alpha+1) alpha^(1/2) (alpha+2)^(1/2))
-* independent Jeffreys:  1 / (alpha beta)
-* reference (beta of interest, alpha nuisance):  1 / (alpha beta)
-
-The independent-Jeffreys and reference priors share one density but are
-kept as distinct labels so reports can name whichever was requested.
-All log densities pin their additive constant to 0.
+* dependent Jeffreys:  1 / (beta (alpha+1) alpha^(1/2) (alpha+2)^(1/2))
+* reference (beta of interest, alpha nuisance):  1 / (alpha beta), also the
+  independence Jeffreys prior.  Its posterior is improper as beta -> inf at
+  every n, which ``check_propriety`` does not check.
 
 ``fisher_information`` and ``fisher_inverse`` return the information of n
 observations and its closed-form inverse as symmetric float64 (2, 2)
 arrays in (beta, alpha) order; the dependent Jeffreys density is
 proportional to the square root of the information's determinant.
-``check_propriety`` is the one statement of the smallest n each prior
-accepts.
+``check_propriety`` is the one propriety rule, derived from each prior's
+exponent nu in pi(alpha) ~ alpha^nu as alpha -> 0 (``_NU``).
 """
 
 from __future__ import annotations
@@ -41,14 +38,13 @@ __all__ = [
 
 
 class ImproperPosteriorError(ValueError):
-    """The requested prior yields an improper posterior at this sample size."""
+    """The posterior is improper: an observation is 0, or n is too small for the prior."""
 
 
 class PriorKind(enum.Enum):
-    """Selector among the three objective priors."""
+    """Selector between the two objective priors."""
 
     JEFFREYS_DEPENDENT = "jeffreys"
-    JEFFREYS_INDEPENDENT = "jeffreys-indep"
     REFERENCE = "reference"
 
 
@@ -84,14 +80,15 @@ def _check_kind(kind) -> None:
 
 
 def log_prior_alpha(kind: PriorKind, a: float) -> float:
-    """The shape factor of the log prior; every prior's scale factor is -log(beta).
-
-    Independent Jeffreys and reference share the one density 1/(alpha beta).
-    """
+    """The shape factor of the log prior; every prior's scale factor is -log(beta)."""
     if kind is PriorKind.JEFFREYS_DEPENDENT:
         return -math.log(a + 1.0) - 0.5 * math.log(a) - 0.5 * math.log(a + 2.0)
     _check_kind(kind)  # a label such as "jeffreys" must not pass for 1/(alpha beta)
     return -math.log(a)
+
+
+# nu, the exponent of each shape factor pi(alpha) ~ alpha^nu as alpha -> 0
+_NU = {PriorKind.JEFFREYS_DEPENDENT: -0.5, PriorKind.REFERENCE: -1.0}
 
 
 def log_prior(kind: PriorKind, p: LomaxParams) -> float:
@@ -99,21 +96,23 @@ def log_prior(kind: PriorKind, p: LomaxParams) -> float:
     return -math.log(p.beta) + log_prior_alpha(kind, p.alpha)
 
 
-def check_propriety(kind: PriorKind, n: int) -> None:
-    """Raise :class:`ImproperPosteriorError` when n is below ``kind``'s minimum.
+def check_propriety(kind: PriorKind, n: int, zeros: int = 0) -> None:
+    """Raise :class:`ImproperPosteriorError` unless the posterior is proper as beta -> 0.
 
-    The one statement of each prior's minimum n: the dependent Jeffreys
-    prior runs from n = 1, the 1/(alpha beta) priors need n >= 2.  Passing
-    this check does not make the 1/(alpha beta) posterior proper, which is
-    improper at every n.  Raises ``TypeError`` when ``kind`` is not a
-    :class:`PriorKind`.
+    Of the n observations, ``zeros`` are 0.  As t = log beta -> -inf the
+    posterior of t goes as e^(zeros |t|) |t|^-(n + 1 + nu), so it is proper
+    there iff zeros = 0 and n + nu > 0.  A ``kind`` that is not a
+    :class:`PriorKind` raises ``TypeError``.
     """
     _check_kind(kind)
-    need = 1 if kind is PriorKind.JEFFREYS_DEPENDENT else 2
+    need = math.floor(-_NU[kind]) + 1  # the least n with n + nu > 0
+    if zeros:
+        are = "observation is" if zeros == 1 else "observations are"
+        raise ImproperPosteriorError(f"improper posterior: {zeros} {are} 0, and the "
+                                     "likelihood is unbounded as beta -> 0")
     if n < need:
-        raise ImproperPosteriorError(
-            f"improper posterior: prior {kind.value!r} requires n >= {need}, got n={n}"
-        )
+        raise ImproperPosteriorError(f"improper posterior: prior {kind.value!r} requires "
+                                     f"n >= {need}, got n={n}")
 
 
 def log_likelihood(p: LomaxParams, d: Dataset) -> float:
@@ -123,9 +122,6 @@ def log_likelihood(p: LomaxParams, d: Dataset) -> float:
 
 
 def log_posterior(kind: PriorKind, p: LomaxParams, d: Dataset) -> float:
-    """Unnormalized joint log posterior: log likelihood plus log prior.
-
-    Fails fast when (kind, n) yields an improper posterior.
-    """
-    check_propriety(kind, d.n)
+    """Unnormalized joint log posterior (log likelihood plus log prior); refuses an improper one."""
+    check_propriety(kind, d.n, d.zeros)
     return log_likelihood(p, d) + log_prior(kind, p)

@@ -53,11 +53,12 @@ array without changing any draw.  The scale stays ``1/(1 + x_i/beta)``
 rather than the equal ``beta/(beta + x_i)``: where ``x_i/beta``
 overflows, the first is 0, so the latent is 0 and ``run_chain`` raises
 ``DegenerateDataError`` naming that beta: for every x_i > 0 when
-sum(lambda_i x_i) is then 0 (``fit`` on ``[0]*99 + [1.0]`` exits 3), and
-for some x_i > 0 when only sum(log lambda_i) is -inf (``fit`` on ``1e300,
-2e300, 3.0, 5.0`` exits 3), while the second stays positive and lets such
-a chain run on.  Which of the two is right belongs with moving the
-scale to log beta, not with the order of the draws.
+sum(lambda_i x_i) is then 0, and for some x_i > 0 when only
+sum(log lambda_i) is -inf (``fit`` on ``1e300, 2e300, 3.0, 5.0`` exits
+3), while the second stays positive and lets such a chain run on.  Which
+is right belongs with moving the scale to log beta.  Data with a zero
+observation, such as ``[0]*99 + [1.0]``, never get here: their posterior
+is improper, and ``check_propriety`` refuses them before any chain runs.
 
 Each stage uses the numpy call with the least per-call cost among those
 that give the same bits:
@@ -117,7 +118,7 @@ _SQRT_HALF = math.sqrt(0.5)
 
 
 class DegenerateDataError(ValueError):
-    """The scale conditional is degenerate: all x_i or all lambda_i x_i are zero."""
+    """sum(lambda_i x_i) or a latent is 0: in a chain, x_i/beta overflowed."""
 
 
 @dataclass(frozen=True)
@@ -270,9 +271,7 @@ def run_chain(d: Dataset, kind: PriorKind, cfg: McmcConfig, chain_index: int = 0
     beta are unit-exponential draws from the chain's generator; the
     latents are drawn first, so they need no initial value.
     """
-    check_propriety(kind, d.n)
-    if not np.any(d.x > 0.0):
-        raise DegenerateDataError("all observations are zero")
+    check_propriety(kind, d.n, d.zeros)
 
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(chain_index,)))
     alpha = float(rng.gamma(1.0))
@@ -350,7 +349,7 @@ def run_chains(d: Dataset, kind: PriorKind, cfg: McmcConfig) -> tuple[Chain, ...
     generator, so the output is the same either way, and an error is the
     one a serial run raises first.
     """
-    check_propriety(kind, d.n)
+    check_propriety(kind, d.n, d.zeros)
     indices = range(cfg.chains)
     w = min(cfg.chains, _usable_cpus())
     if (

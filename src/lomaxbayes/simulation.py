@@ -78,8 +78,6 @@ class StudyConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not self.sample_sizes:
             raise ValueError("need at least one sample size")
-        if any(n < 2 for n in self.sample_sizes):
-            raise ValueError("all sample sizes must be >= 2")
         if not self.priors:
             raise ValueError("need at least one prior kind")
         for kind in self.priors:

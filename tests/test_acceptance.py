@@ -192,15 +192,17 @@ def test_criterion_08_propriety_guards():
     d = Dataset([5.0])
     cfg = McmcConfig(iterations=400, burn_in=100, thin=2, chains=1, seed=1)
     guarded = 0
-    for kind in (PriorKind.REFERENCE, PriorKind.JEFFREYS_INDEPENDENT):
+    # reference needs n >= 2; a zero observation is improper under every prior
+    for kind, guarded_data in ((PriorKind.REFERENCE, d),
+                               (PriorKind.JEFFREYS_DEPENDENT, Dataset([0.0, 5.0]))):
         try:
-            run_chains(d, kind, cfg)
+            run_chains(guarded_data, kind, cfg)
         except ImproperPosteriorError:
             guarded += 1
     dep = run_chains(d, PriorKind.JEFFREYS_DEPENDENT, cfg)
     dep_ok = np.concatenate([c.alpha for c in dep]).size == cfg.retained
     _report(8, guarded == 2 and dep_ok,
-            f"(reference/indep n=1 rejected: {guarded}/2; dependent n=1 ran)")
+            f"(reference n=1 and jeffreys [0, 5] rejected: {guarded}/2; dependent n=1 ran)")
 
 
 def test_criterion_09_application_reference_values(tmp_path):

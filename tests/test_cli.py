@@ -99,7 +99,7 @@ class TestParserDefaults:
         args = build_parser().parse_args(["fit", "x.txt"])
         assert (args.iters, args.burnin, args.thin, args.chains) == (80000, 20000, 20, 2)
         assert args.tuning == 1.0
-        assert args.prior == "reference"
+        assert args.prior == "jeffreys"  # the one prior here whose posterior is proper
 
     def test_simulate_defaults_match_study_design(self):
         args = build_parser().parse_args(["simulate"])
@@ -205,12 +205,16 @@ class TestFitCommand:
         assert "chain 1 failed" in capsys.readouterr().err
         assert process_pools == [1]
 
-    def test_zero_heavy_data_exits_3_with_forked_chains(self, tmp_path, monkeypatch):
-        # the reference chain underflows beta and then every lambda_i x_i
+    def test_zero_heavy_data_refused_before_forking(self, tmp_path, monkeypatch, capsys, process_pools):
+        # chains long enough to fork on 2 CPUs; the improper posterior stops them all
         monkeypatch.setattr(sampler, "_usable_cpus", lambda: 2)
         data = _write(tmp_path, "0\n" * 99 + "1.0\n")
-        flags = ["--iters", "4000", "--burnin", "1000", "--thin", "10", "--out", str(tmp_path / "o")]
+        out = tmp_path / "o"
+        flags = ["--iters", "4000", "--burnin", "1000", "--thin", "10", "--out", str(out)]
         assert main(["fit", data] + flags) == EXIT_NUMERIC
+        assert "improper posterior: 99 observations are 0" in capsys.readouterr().err
+        assert not out.exists()
+        assert process_pools == []
 
     @pytest.mark.parametrize("prior", ["reference", "jeffreys"])
     def test_overflowed_scale_exits_3_naming_beta(self, tmp_path, capsys, prior):
@@ -225,14 +229,16 @@ class TestFitCommand:
         assert "is so small that x_i/beta overflows for some x_i > 0" in err
         assert float(err.split("beta=")[1].split()[0]) < max(x) / sys.float_info.max
 
-    def test_zero_heavy_overflow_exits_3_naming_beta(self, tmp_path, capsys):
-        # the one positive x_i overflows, so every lambda_i x_i is 0
+    def test_zero_heavy_data_refused_before_any_chain(self, tmp_path, capsys, process_pools):
+        # the posterior mass is at beta -> 0: refused, not left to overflow mid-chain
         data = _write(tmp_path, "0\n" * 99 + "1.0\n")
-        flags = ["--iters", "3000", "--burnin", "1000", "--out", str(tmp_path / "o")]
+        out = tmp_path / "o"
+        flags = ["--iters", "3000", "--burnin", "1000", "--out", str(out)]
         assert main(["fit", data] + flags) == EXIT_NUMERIC
         err = capsys.readouterr().err
-        assert "is so small that x_i/beta overflows for every x_i > 0" in err
-        assert float(err.split("beta=")[1].split()[0]) < 1e-300
+        assert "improper posterior: 99 observations are 0" in err
+        assert not out.exists()
+        assert process_pools == []
 
     def test_tiny_scale_keeps_its_spread(self, tmp_path):
         data = _write(tmp_path, "1e-300\n2e-300\n3e-300\n")
@@ -255,6 +261,18 @@ class TestFitCommand:
         assert process_pools == [1]
         for name in ("summary.json", "trace.csv", "outliers.csv"):
             assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
+    @pytest.mark.parametrize("prior", ["jeffreys", "reference"])
+    def test_one_zero_among_fifty_refused(self, tmp_path, capsys, process_pools, prior):
+        # one zero makes the posterior improper under every prior, however many
+        # positive values there are; a chain would not find that out
+        x = sample(LomaxParams(2.0, 1.5), np.random.default_rng(42), 50).x.tolist()
+        data = _write(tmp_path, "".join(f"{v!r}\n" for v in [0.0] + x[1:]))
+        out = tmp_path / "o"
+        assert main(["fit", data, "--prior", prior, "--out", str(out)]) == EXIT_NUMERIC
+        assert "improper posterior: 1 observation is 0" in capsys.readouterr().err
+        assert not out.exists()
+        assert process_pools == []
 
     def test_dependent_jeffreys_accepts_single_observation(self, tmp_path):
         data = _write(tmp_path, "5.0\n")
@@ -411,6 +429,19 @@ class TestSimulateCommand:
         argv = ["simulate"] + SIM_FLAGS + flags + ["--out", str(out)]
         assert main(argv) == EXIT_USAGE
         assert not out.exists()
+
+    @pytest.mark.parametrize("prior, code", [("jeffreys", EXIT_OK), ("reference", EXIT_NUMERIC)])
+    def test_single_observation_cells(self, tmp_path, capsys, prior, code):
+        # n + nu > 0 admits n = 1 under jeffreys (nu = -1/2), not under reference (nu = -1)
+        out = tmp_path / "sim"
+        argv = ["simulate"] + SIM_FLAGS + ["--sizes", "1", "--prior", prior, "--out", str(out)]
+        assert main(argv) == code
+        if code == EXIT_OK:
+            rows = (out / "simulation.csv").read_text().splitlines()[1:]
+            assert [r.split(",")[:3] for r in rows] == [["jeffreys", "1", "beta"], ["jeffreys", "1", "alpha"]]
+        else:
+            assert "prior 'reference' requires n >= 2, got n=1" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_byte_identical_reruns(self, tmp_path):
         out1, out2 = tmp_path / "s1", tmp_path / "s2"

@@ -52,6 +52,10 @@ class TestDataset:
         np.testing.assert_array_equal(d.x, [3.0, 1.0, 2.0])
         assert not d.x.flags.writeable
 
+    def test_zeros_counts_observations_equal_to_0(self):
+        assert Dataset([0.0, 1.5, -0.0, 2.0]).zeros == 2  # -0.0 passes as >= 0
+        assert Dataset([1e-300, 3.0]).zeros == 0
+
 
 class TestLogPdf:
     def test_values(self):

@@ -1,4 +1,4 @@
-"""Fisher information algebra, the three log priors and the log posterior."""
+"""Fisher information algebra, the two log priors and the log posterior."""
 
 import math
 
@@ -27,14 +27,8 @@ GRID = [LomaxParams(beta=b, alpha=a) for b in (0.2, 1.0, 5.0) for a in (0.2, 1.0
 
 
 class TestPriorKind:
-    def test_three_kinds_with_cli_labels(self):
-        assert {k.value for k in PriorKind} == {"jeffreys", "jeffreys-indep", "reference"}
-
-    def test_independent_and_reference_share_density(self):
-        for p in GRID:
-            assert log_prior(PriorKind.JEFFREYS_INDEPENDENT, p) == log_prior(
-                PriorKind.REFERENCE, p
-            )
+    def test_two_kinds_with_cli_labels(self):
+        assert {k.value for k in PriorKind} == {"jeffreys", "reference"}
 
     @pytest.mark.parametrize("call", [
         lambda kind: run_chains(Dataset([1.0, 2.0]), kind, McmcConfig(iterations=4, burn_in=0, thin=1)),
@@ -145,18 +139,16 @@ class TestLogPosterior:
 
     def test_improper_for_single_observation(self):
         d = Dataset([1.0])
-        for kind in (PriorKind.REFERENCE, PriorKind.JEFFREYS_INDEPENDENT):
-            with pytest.raises(ImproperPosteriorError, match="improper posterior"):
-                log_posterior(kind, LomaxParams(1, 1), d)
+        with pytest.raises(ImproperPosteriorError, match="improper posterior"):
+            log_posterior(PriorKind.REFERENCE, LomaxParams(1, 1), d)
 
     def test_dependent_jeffreys_allows_single_observation(self):
         got = log_posterior(PriorKind.JEFFREYS_DEPENDENT, LomaxParams(1, 1), Dataset([1.0]))
         assert math.isfinite(got)
 
     @pytest.mark.parametrize("kind, need", [
-        (PriorKind.JEFFREYS_DEPENDENT, 1),
-        (PriorKind.JEFFREYS_INDEPENDENT, 2),
-        (PriorKind.REFERENCE, 2),
+        (PriorKind.JEFFREYS_DEPENDENT, 1),  # n + nu > 0 with nu = -1/2
+        (PriorKind.REFERENCE, 2),  # nu = -1
     ], ids=lambda v: v.value if isinstance(v, PriorKind) else str(v))
     def test_check_propriety_minimum_n(self, kind, need):
         check_propriety(kind, need)
@@ -164,6 +156,15 @@ class TestLogPosterior:
         with pytest.raises(ImproperPosteriorError) as info:
             check_propriety(kind, need - 1)
         assert str(info.value) == msg
+        # a zero observation makes the posterior of log beta grow as beta -> 0, at any n
+        for zeros, text in ((1, "1 observation is 0"), (3, "3 observations are 0")):
+            msg = f"improper posterior: {text}, and the likelihood is unbounded as beta -> 0"
+            with pytest.raises(ImproperPosteriorError) as info:
+                check_propriety(kind, 50, zeros)
+            assert str(info.value) == msg
+            d = Dataset([0.0] * zeros + [1.0] * (50 - zeros))
+            with pytest.raises(ImproperPosteriorError, match=text):
+                log_posterior(kind, LomaxParams(1, 1), d)
 
     @pytest.mark.parametrize("kind", list(PriorKind))
     def test_equals_loglik_plus_logprior_up_to_constant(self, kind):

@@ -339,16 +339,30 @@ class TestRunChain:
         cfg = McmcConfig(iterations=100, burn_in=10, thin=1, seed=0)
         with pytest.raises(ImproperPosteriorError):
             run_chain(d, PriorKind.REFERENCE, cfg)
-        with pytest.raises(ImproperPosteriorError):
-            run_chain(d, PriorKind.JEFFREYS_INDEPENDENT, cfg)
         c = run_chain(d, PriorKind.JEFFREYS_DEPENDENT, cfg)
         assert c.alpha.size == 90
 
     def test_all_zero_data_rejected(self):
         d = Dataset(np.zeros(5))
         cfg = McmcConfig(iterations=100, burn_in=10, thin=1, seed=0)
-        with pytest.raises(DegenerateDataError):
+        with pytest.raises(ImproperPosteriorError, match="5 observations are 0"):
             run_chain(d, PriorKind.REFERENCE, cfg)
+
+    def test_zeroed_latents_name_beta_for_every_x(self, monkeypatch):
+        # every x_i > 0, so sum(lambda_i x_i) is 0 only if every x_i/beta overflowed
+        drawn_with = []
+
+        def zero_latents(alpha, beta, d, rng, out, work):
+            drawn_with.append(beta)
+            out[:] = 0.0
+            return out
+
+        monkeypatch.setattr(sampler, "sample_lambda", zero_latents)
+        cfg = McmcConfig(iterations=100, burn_in=10, thin=1, seed=0)
+        with pytest.raises(DegenerateDataError) as info:
+            run_chain(_data(10), PriorKind.JEFFREYS_DEPENDENT, cfg)
+        (beta,) = drawn_with  # the first iteration stops the chain, naming its beta
+        assert str(info.value) == f"beta={beta!r} is so small that x_i/beta overflows for every x_i > 0"
 
 
 class TestRunChains:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from lomaxbayes import (
+    ImproperPosteriorError,
     LomaxParams,
     McmcConfig,
     PriorKind,
@@ -74,7 +75,8 @@ class TestStudyConfig:
     def test_invalid(self):
         with pytest.raises(ValueError):
             StudyConfig(true_params=TRUTH, replications=0)
-        with pytest.raises(ValueError):
+        # the default priors include reference, whose posterior needs n >= 2
+        with pytest.raises(ImproperPosteriorError, match="prior 'reference' requires n >= 2, got n=1"):
             StudyConfig(true_params=TRUTH, sample_sizes=(1,))
         with pytest.raises(ValueError):
             StudyConfig(true_params=TRUTH, priors=())
@@ -100,6 +102,15 @@ class TestStudyConfig:
     def test_priors_must_be_a_sequence(self, priors):
         with pytest.raises(TypeError, match="priors must be a sequence of PriorKind"):
             StudyConfig(true_params=TRUTH, priors=priors)
+
+    def test_jeffreys_study_runs_from_n_1(self):
+        # n + nu > 0 with nu = -1/2: the one propriety rule admits n = 1 here
+        cfg = StudyConfig(true_params=TRUTH, sample_sizes=(1,), replications=2,
+                          priors=(PriorKind.JEFFREYS_DEPENDENT,), mcmc=FAST_MCMC, seed=1)
+        report = run_study(cfg)
+        assert [(r.prior, r.n, r.parameter) for r in report.rows] == [
+            (PriorKind.JEFFREYS_DEPENDENT, 1, "beta"), (PriorKind.JEFFREYS_DEPENDENT, 1, "alpha"),
+        ]
 
     def test_defaults_follow_study_design(self):
         cfg = StudyConfig(true_params=TRUTH)
