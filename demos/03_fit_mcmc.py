@@ -1,13 +1,12 @@
 #!/usr/bin/env python3
 """Fit simulated data with the data-augmented Gibbs sampler and read the
-diagnostics: summaries, PSRF, acceptance rate and outlier scores.
+diagnostics: summaries, PSRF, acceptance rate and the flagged x.
 
 Each observation carries a latent mixing value lambda_i; the sampler
 cycles lambda | (alpha, beta), beta | lambda, and a Metropolis-Hastings
-update of alpha | lambda.  The outlier scores are the posterior means of
-the latents, computed from the (alpha, beta) draws alone as the mean of
-E[lambda_i | alpha, beta] = (alpha+1) beta/(beta + x_i): an implausibly
-large observation gets a score near zero.
+update of alpha | lambda.  The flags are those of ``lomaxbayes fit``'s
+outliers.csv: the x above their 95th percentile.  That rule ranks x and
+reads no draw, so it flags about the largest 5% of any sample, clean or not.
 """
 
 import numpy as np
@@ -19,7 +18,6 @@ from lomaxbayes import (
     PriorKind,
     acceptance_rate,
     gelman_rubin,
-    outlier_scores,
     run_chains,
     sample,
     summarize,
@@ -33,7 +31,7 @@ print(f"simulated n={data.n} from (beta={truth.beta}, alpha={truth.alpha}), "
       f"last value planted at {data.x[-1]:.1f}")
 
 cfg = McmcConfig(iterations=11000, burn_in=1000, thin=10, chains=2, seed=7)
-chains = run_chains(data, PriorKind.REFERENCE, cfg)
+chains = run_chains(data, PriorKind.JEFFREYS_DEPENDENT, cfg)
 
 print(f"\n{cfg.chains} chains x {cfg.retained} retained draws "
       f"(iterations={cfg.iterations}, burn-in={cfg.burn_in}, thin={cfg.thin})")
@@ -46,9 +44,8 @@ for param in ("beta", "alpha"):
 rates = ", ".join(f"{acceptance_rate(c):.3f}" for c in chains)
 print(f"  shape-proposal acceptance rates per chain: {rates}")
 
-result = outlier_scores(chains, data)
-order = np.argsort(result.scores)[:5]
-print("\nlowest latent-mean scores (prime outlier suspects):")
-for i in order:
-    mark = " <- flagged" if result.flagged[i] else ""
-    print(f"  index {i:3d}  x={data.x[i]:10.3f}  score={result.scores[i]:.4f}{mark}")
+flagged = np.flatnonzero(data.x > np.percentile(data.x, 95.0))
+print(f"\nflagged x, largest first ({flagged.size} of {data.n}, as in outliers.csv):")
+for i in flagged[np.argsort(-data.x[flagged])]:
+    mark = " <- planted" if i == data.n - 1 else ""
+    print(f"  index {i:3d}  x={data.x[i]:10.3f}{mark}")

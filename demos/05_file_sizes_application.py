@@ -3,8 +3,9 @@
 
 Uses ``data/ini_sizes.txt`` when the real dataset has been fetched (see
 scripts/fetch_file_sizes.py), otherwise generates the clearly-marked
-synthetic stand-in and fits that.  Both priors are fitted and compared,
-artifacts land in ``out/application/<prior>/``.
+synthetic stand-in and fits that under the dependent Jeffreys prior;
+artifacts land in ``out/application/jeffreys/``.  The 1/(alpha beta)
+``reference`` prior is not fitted: its posterior is improper as beta -> inf.
 """
 
 import json
@@ -27,24 +28,20 @@ if not data.exists():
         )
 print(f"dataset: {data}\n")
 
-results = {}
-for prior in ("jeffreys", "reference"):
-    out = ROOT / "out" / "application" / prior
-    code = main([
-        "fit", str(data), "--prior", prior, "--out", str(out),
-        "--iters", "30000", "--burnin", "5000", "--thin", "10",
-        "--chains", "2", "--seed", "0",
-    ])
-    if code != 0:
-        sys.exit(code)
-    results[prior] = json.loads((out / "summary.json").read_text())
+out = ROOT / "out" / "application" / "jeffreys"
+code = main([
+    "fit", str(data), "--prior", "jeffreys", "--out", str(out),
+    "--iters", "30000", "--burnin", "5000", "--thin", "10",
+    "--chains", "2", "--seed", "0",
+])
+if code != 0:
+    sys.exit(code)
+summary = json.loads((out / "summary.json").read_text())
 
-print("\nposterior summaries by prior:")
-print(f"{'prior':>10} {'param':>6} {'mean':>10} {'sd':>9} {'95% CI':>22}")
-for prior, summary in results.items():
-    for param in ("beta", "alpha"):
-        s = summary[param]
-        ci = f"[{s['ci_low']:.4g}, {s['ci_high']:.4g}]"
-        print(f"{prior:>10} {param:>6} {s['mean']:10.4f} {s['sd']:9.4f} {ci:>22}")
-print("\nthe two objective priors agree closely, and alpha < 1 says the fitted")
-print("law is so heavy-tailed that even its mean is infinite.")
+print("\nposterior summaries under the dependent Jeffreys prior:")
+print(f"{'param':>6} {'mean':>10} {'sd':>9} {'95% CI':>22}")
+for param in ("beta", "alpha"):
+    s = summary[param]
+    ci = f"[{s['ci_low']:.4g}, {s['ci_high']:.4g}]"
+    print(f"{param:>6} {s['mean']:10.4f} {s['sd']:9.4f} {ci:>22}")
+print("\nalpha < 1 says the fitted law is so heavy-tailed that even its mean is infinite.")

@@ -7,14 +7,7 @@ diagnostics, and a Monte Carlo bias/rmse study harness.  One chain
 ``sample_beta``) are importable from :mod:`lomaxbayes.sampler`.
 """
 
-from .diagnostics import (
-    OutlierScores,
-    SummaryStats,
-    acceptance_rate,
-    gelman_rubin,
-    outlier_scores,
-    summarize,
-)
+from .diagnostics import SummaryStats, acceptance_rate, gelman_rubin, summarize
 from .distribution import (
     Dataset,
     LomaxParams,
@@ -64,7 +57,6 @@ __all__ = [
     "ImproperPosteriorError",
     "LomaxParams",
     "McmcConfig",
-    "OutlierScores",
     "PriorKind",
     "ReplicateFit",
     "SimReport",
@@ -84,7 +76,6 @@ __all__ = [
     "log_prior",
     "mean",
     "median",
-    "outlier_scores",
     "rmse",
     "run_chains",
     "run_study",

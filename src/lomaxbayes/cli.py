@@ -3,8 +3,9 @@
 ``lomaxbayes fit DATA`` writes three artifacts into the output directory:
 ``summary.json`` (posterior summaries and diagnostics), ``trace.csv``
 (columns chain,draw_index,alpha,beta) and ``outliers.csv`` (columns
-index,x,lambda_mean,flagged).  ``lomaxbayes simulate`` writes
-``simulation.csv`` and prints the aggregated table.
+index,x,flagged, which marks the x above their 95th percentile).
+``lomaxbayes simulate`` writes ``simulation.csv`` and prints the
+aggregated table.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical or
 propriety error.  Runs are reproducible: the same flags and seed yield
@@ -23,7 +24,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .diagnostics import outlier_scores
 from .distribution import Dataset, LomaxParams
 from .priors import ImproperPosteriorError, PriorKind
 from .sampler import _FORK_MIN_ITERATIONS, Chain, DegenerateDataError, McmcConfig, run_chains
@@ -134,13 +134,12 @@ def _write_trace_csv(path: Path, chains: tuple[Chain, ...]) -> None:
                 fh.write(f"{c.chain_index},{i},{a!r},{b!r}\n")
 
 
-def _write_outlier_csv(path: Path, d: Dataset, chains: tuple[Chain, ...]) -> None:
-    result = outlier_scores(chains, d)
+def _write_outlier_csv(path: Path, d: Dataset) -> None:
+    flagged = d.x > np.percentile(d.x, 95.0)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("index,x,lambda_mean,flagged\n")
-        rows = zip(d.x.tolist(), result.scores.tolist(), result.flagged.tolist())
-        for i, (x, score, flag) in enumerate(rows):
-            fh.write(f"{i},{x!r},{score!r},{'true' if flag else 'false'}\n")
+        fh.write("index,x,flagged\n")
+        for i, (x, flag) in enumerate(zip(d.x.tolist(), flagged.tolist())):
+            fh.write(f"{i},{x!r},{'true' if flag else 'false'}\n")
 
 
 def _mcmc_config(args) -> McmcConfig:
@@ -176,7 +175,7 @@ def cmd_fit(args) -> int:
         json.dump(summary, fh, indent=2)
         fh.write("\n")
     _write_trace_csv(out / "trace.csv", chains)
-    _write_outlier_csv(out / "outliers.csv", d, chains)
+    _write_outlier_csv(out / "outliers.csv", d)
 
     print(f"prior={kind.value} n={d.n} seed={cfg.seed}")
     for param in ("beta", "alpha"):

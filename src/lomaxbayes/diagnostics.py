@@ -1,4 +1,4 @@
-"""Posterior summaries, Gelman-Rubin diagnostic and latent-mean outlier scores."""
+"""Posterior summaries, Gelman-Rubin diagnostic and acceptance rate."""
 
 from __future__ import annotations
 
@@ -7,16 +7,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distribution import Dataset
 from .sampler import Chain
 
 __all__ = [
     "SummaryStats",
-    "OutlierScores",
     "summarize",
     "gelman_rubin",
     "acceptance_rate",
-    "outlier_scores",
 ]
 
 
@@ -89,30 +86,3 @@ def acceptance_rate(chain: Chain) -> float:
     if chain.proposed <= 0:
         raise ValueError("chain has no proposals")
     return chain.accepted / chain.proposed
-
-
-@dataclass(frozen=True)
-class OutlierScores:
-    """Per-observation posterior latent means and the flags of the largest x."""
-
-    scores: np.ndarray
-    flagged: np.ndarray
-
-
-def outlier_scores(chains: tuple[Chain, ...], d: Dataset) -> OutlierScores:
-    """Score observation i by the Rao-Blackwell mean of its latent lambda_i.
-
-    The score is the mean over the pooled draws of E[lambda_i | alpha, beta,
-    x] = (alpha+1) beta/(beta + x_i) (Gelfand & Smith 1990), so equal x get
-    equal scores and a larger x a lower one.  The flags mark the x above
-    their 95th percentile (none at n = 1): since every score falls as x
-    grows, these are also the lowest scores.
-    """
-    total, work = np.zeros(d.n), np.empty(d.n)
-    for c in chains:
-        for a, b in zip(c.alpha.tolist(), c.beta.tolist()):
-            np.add(d.x, b, out=work)
-            np.divide((a + 1.0) * b, work, out=work)
-            total += work
-    scores = total / sum(c.alpha.size for c in chains)
-    return OutlierScores(scores=scores, flagged=d.x > np.percentile(d.x, 95.0))

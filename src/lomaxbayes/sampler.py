@@ -163,7 +163,7 @@ class McmcConfig:
 class Chain:
     """Post burn-in, thinned (alpha, beta) draws of one chain plus provenance.
 
-    The latents are not kept: the outlier scores need only these draws.
+    The latents are not kept: every summary of a fit needs only these draws.
     ``accepted``/``proposed`` count shape-proposals over all iterations
     including burn-in.
     """

@@ -80,6 +80,8 @@ class StudyConfig:
             raise ValueError("need at least one sample size")
         if not self.priors:
             raise ValueError("need at least one prior kind")
+        if min(self.sample_sizes) < 1:  # not a dataset, so not a propriety question
+            raise ValueError(f"sample sizes must be >= 1, got {min(self.sample_sizes)}")
         for kind in self.priors:
             check_propriety(kind, min(self.sample_sizes))
         # a repeated cell would fit every replicate and write its rows again

@@ -141,9 +141,9 @@ class TestFitCommand:
         assert float(f"{stats.ci_low:.6g}") == summary["alpha"]["ci_low"]
 
         outliers = (out / "outliers.csv").read_text().splitlines()
-        assert outliers[0] == "index,x,lambda_mean,flagged"
+        assert outliers[0] == "index,x,flagged"
         assert len(outliers) == 1 + 30
-        assert outliers[1].split(",")[3] in {"true", "false"}
+        assert outliers[1].split(",")[2] in {"true", "false"}
 
     def test_byte_identical_reruns(self, tmp_path):
         data = _make_data_file(tmp_path)
@@ -338,6 +338,35 @@ class TestFitCommand:
         assert not out.exists()
 
 
+class TestOutlierFlags:
+    """outliers.csv flags the x above their 95th percentile."""
+
+    @staticmethod
+    def _flags(tmp_path, x):
+        data = _write(tmp_path, "".join(f"{v!r}\n" for v in x))
+        out = tmp_path / "out"
+        assert main(["fit", data, "--out", str(out)] + FIT_FLAGS) == EXIT_OK
+        rows = [r.split(",") for r in (out / "outliers.csv").read_text().splitlines()[1:]]
+        assert [(int(i), float(v)) for i, v, _ in rows] == list(enumerate(x))
+        return np.array([flag == "true" for _, _, flag in rows])
+
+    def test_cut_is_the_95th_percentile(self, tmp_path):
+        # at n = 101 the 95th percentile is the order statistic x = 96, so
+        # moving the cut by one percentile point changes the flagged set
+        x = np.random.default_rng(5).permutation(np.arange(1.0, 102.0)).tolist()
+        flagged = self._flags(tmp_path, x)
+        assert sorted(np.array(x)[flagged].tolist()) == [97.0, 98.0, 99.0, 100.0, 101.0]
+
+    def test_single_observation_not_flagged(self, tmp_path):
+        assert self._flags(tmp_path, [4.0]).tolist() == [False]
+
+    def test_planted_gross_outlier_flagged(self, tmp_path):
+        base = sample(LomaxParams(2.0, 1.5), np.random.default_rng(56), 60).x
+        flagged = self._flags(tmp_path, np.append(base, 100.0 * base.max()).tolist())
+        assert flagged[-1]
+        assert flagged.mean() <= 0.10
+
+
 class TestRuntimeWithoutScipy:
     """The package and its CLI run on numpy and the standard library alone."""
 
@@ -423,6 +452,8 @@ class TestSimulateCommand:
         ["--iters", "2", "--burnin", "1", "--thin", "1"],  # one retained draw
         ["--seed", "-1"],
         ["--sizes", "50", "50"],  # would fit and write the n = 50 cell twice
+        ["--sizes=0"],  # no dataset, so no propriety check: exit 1, not 3
+        ["--sizes=-5"],
     ])
     def test_invalid_settings_exit_1_before_writing(self, tmp_path, flags):
         out = tmp_path / "sim"

@@ -78,6 +78,11 @@ class TestStudyConfig:
         # the default priors include reference, whose posterior needs n >= 2
         with pytest.raises(ImproperPosteriorError, match="prior 'reference' requires n >= 2, got n=1"):
             StudyConfig(true_params=TRUTH, sample_sizes=(1,))
+        # a size below 1 is no dataset: a usage error, raised before the propriety check
+        for sizes in ((0,), (-5,), (3, -5)):
+            with pytest.raises(ValueError, match=f"sample sizes must be >= 1, got {min(sizes)}") as info:
+                StudyConfig(true_params=TRUTH, sample_sizes=sizes)
+            assert not isinstance(info.value, ImproperPosteriorError)
         with pytest.raises(ValueError):
             StudyConfig(true_params=TRUTH, priors=())
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
