@@ -366,6 +366,23 @@ class TestOutlierFlags:
         assert flagged[-1]
         assert flagged.mean() <= 0.10
 
+    def test_homogeneous_data_rarely_flagged(self, tmp_path):
+        x = sample(LomaxParams(2.0, 1.5), np.random.default_rng(55), 100).x
+        assert self._flags(tmp_path, x.tolist()).mean() <= 0.10
+
+    def test_tied_observations_get_identical_flags(self, tmp_path):
+        flagged = self._flags(tmp_path, [5.0] * 10 + [1.0, 9.0, 1.0])
+        assert np.unique(flagged[:10]).tolist() == [False]
+        assert flagged[10] == flagged[12]
+        assert flagged.tolist().count(True) == 1 and flagged[11]
+
+    def test_flags_are_the_top_of_x(self, tmp_path):
+        x = sample(LomaxParams(2.0, 1.5), np.random.default_rng(42), 500).x
+        flagged = self._flags(tmp_path, x.tolist())
+        np.testing.assert_array_equal(flagged, x > np.percentile(x, 95.0))
+        assert flagged.sum() == 25
+        assert x[flagged].min() > x[~flagged].max()
+
 
 class TestRuntimeWithoutScipy:
     """The package and its CLI run on numpy and the standard library alone."""
