@@ -49,7 +49,8 @@ class DataFormatError(ValueError):
 _ERRORS = (
     ((DataFormatError, OSError), "data error", EXIT_DATA),
     ((ImproperPosteriorError, DegenerateDataError), "numerical error", EXIT_NUMERIC),
-    (ValueError, "invalid configuration", EXIT_USAGE),
+    # a run too long to allocate its draws (--iters 1e14), refused before any output
+    ((ValueError, MemoryError), "invalid configuration", EXIT_USAGE),
 )
 
 
@@ -148,7 +149,6 @@ def _mcmc_config(args) -> McmcConfig:
         burn_in=args.burnin,
         thin=args.thin,
         chains=args.chains,
-        tuning=args.tuning,
         seed=args.seed,
     )
 
@@ -218,7 +218,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_mcmc_flags(p, defaults: McmcConfig):
-    p.add_argument("--iters", type=int, default=defaults.iterations, help="total iterations per chain")
+    p.add_argument(
+        "--iters", type=int, default=defaults.iterations,
+        help="total iterations per chain; the shape step's random walk on log alpha "
+        "has scale 1.5/sqrt(n), set from the data",
+    )
     p.add_argument("--burnin", type=int, default=defaults.burn_in, help="discarded initial iterations")
     p.add_argument("--thin", type=int, default=defaults.thin, help="keep every thin-th draw")
     p.add_argument(
@@ -227,7 +231,6 @@ def _add_mcmc_flags(p, defaults: McmcConfig):
         f"--iters >= {_FORK_MIN_ITERATIONS} they run in forked processes, "
         "up to one per CPU, else one after another",
     )
-    p.add_argument("--tuning", type=float, default=defaults.tuning, help="shape proposal SD")
     p.add_argument("--seed", type=int, default=defaults.seed, help="non-negative master seed")
     p.add_argument(
         "--out",

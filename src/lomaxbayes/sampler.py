@@ -10,20 +10,23 @@ updates, in this order:
    chain allocates once;
 2. ``beta | lambda  ~  InverseGamma(n, sum(lambda_i x_i))``, drawn as
    that sum over a unit-rate Gamma(n) variate;
-3. ``alpha | lambda`` by one random-walk Metropolis-Hastings step with a
-   Normal(alpha, tuning^2) proposal resampled until positive.  The
-   Hastings correction for that truncation is
-   ``log Phi(alpha/tuning) - log Phi(proposal/tuning)``.  The chain
-   carries ``-n log Gamma(alpha)``, the log prior and ``log Phi(alpha/tuning)``
-   of its current alpha from step to step and computes them only for a
-   proposal; alpha changes on a minority of steps.
+3. ``alpha | lambda`` by one random-walk Metropolis-Hastings step on
+   log alpha: the proposal is ``alpha * exp(s * z)`` for a standard
+   normal z, with ``s = 1.5/sqrt(n)``.  The walk is symmetric in log
+   alpha, so the Hastings term is the Jacobian ``log(proposal/alpha) =
+   s * z``, and every proposal is positive.  The chain carries ``-n log
+   Gamma(alpha)`` and the log prior of its current alpha from step to
+   step and computes them only for a proposal.
 
-``log Phi(z)`` is ``log1p(-erfc(z/sqrt 2)/2)`` from the standard library,
-on the one domain used, z = alpha/tuning > 0.  There Phi is in (1/2, 1],
-so ``log1p`` keeps full precision, and the value is within 2.2e-16 of
-``scipy.special.log_ndtr``.  It enters only the MH log ratio, so a step
-could decide otherwise only if log u fell that close to the ratio; the
-tests' bitwise comparison with a ``log_ndtr`` chain finds no such step.
+The scale follows from the conditional being proposed on.  Given the
+latents, alpha is the shape of n unit-rate gammas, whose information is
+``n psi'(alpha)``, so the conditional sd of log alpha is about
+``1/(alpha sqrt(n psi'(alpha)))``: 0.90, 0.69 and 0.43 over sqrt(n) at
+alpha = 0.5, 1.5 and 5.  The one-dimensional optimal random-walk scale is
+2.38 sds (Roberts, Gelman & Gilks 1997), 1.0 to 2.1 over sqrt(n) across
+that range; 1.5 is that scale at alpha = 1.9.  A Gaussian walk of scale s on a
+Gaussian target of sd sigma accepts ``(2/pi) arctan(2 sigma/s)`` of its
+proposals, here 0.33 to 0.56 whatever n is.
 
 Chain i of master seed s draws from ``SeedSequence(s, spawn_key=(i,))``,
 child i of ``SeedSequence(s).spawn``, so no chain depends on execution order
@@ -32,11 +35,10 @@ a chain draws, in this order:
 
 - the initial alpha and then beta, each ``gamma(1.0)``;
 - at iterations 0, 1024, 2048, ... a block of 1024 unit-rate Gamma(n)
-  variates (step 2), then 1024 standard normals (the first proposal
-  increment of step 3), then 1024 uniforms u, kept as ``log1p(-u)``
+  variates (step 2), then 1024 standard normals (the proposal
+  increments z of step 3), then 1024 uniforms u, kept as ``log1p(-u)``
   in (-inf, 0] for step 3's acceptance test;
-- within each iteration, the n latents of step 1 and, only while a
-  proposal is not positive, one more standard normal per redraw.
+- within each iteration, the n latents of step 1.
 
 One numpy call per block in place of three per iteration removes most of
 the per-call cost of the scalar draws at small n.  The last block is
@@ -85,7 +87,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distribution import Dataset, _check_integer, _check_positive_finite
+from .distribution import Dataset, _check_integer
 from .priors import PriorKind, check_propriety, log_prior_alpha
 
 __all__ = [
@@ -114,8 +116,6 @@ _FORK_MIN_ITERATIONS = 2000
 # Iterations whose scalar variates run_chain draws in one call each
 _BLOCK = 1024
 
-_SQRT_HALF = math.sqrt(0.5)
-
 
 class DegenerateDataError(ValueError):
     """sum(lambda_i x_i) or a latent is 0: in a chain, x_i/beta overflowed."""
@@ -123,18 +123,18 @@ class DegenerateDataError(ValueError):
 
 @dataclass(frozen=True)
 class McmcConfig:
-    """Chain length, burn-in, thinning, proposal scale and seeding.
+    """Chain length, burn-in, thinning, number of chains and seeding.
 
     Retained draws per chain are ``(iterations - burn_in) // thin``.
     Defaults follow the simulation-study protocol (11,000 iterations,
-    burn-in 1,000, thinning 10, two chains, tuning 1).
+    burn-in 1,000, thinning 10, two chains).  The shape step's proposal
+    scale is not set here: ``run_chain`` derives it from n.
     """
 
     iterations: int = 11000
     burn_in: int = 1000
     thin: int = 10
     chains: int = 2
-    tuning: float = 1.0
     seed: int = 0
 
     def __post_init__(self):
@@ -148,7 +148,6 @@ class McmcConfig:
             raise ValueError("thin must be >= 1")
         if self.chains < 1:
             raise ValueError("chains must be >= 1")
-        _check_positive_finite("tuning", self.tuning)
         if self.seed < 0:  # SeedSequence takes non-negative integers only
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.retained < 2:  # summaries and the PSRF need 2 draws per chain
@@ -211,46 +210,38 @@ def sample_beta(lam: np.ndarray, d: Dataset, g: float) -> float:
     return s / g
 
 
-def _log_phi(z: float) -> float:
-    # log of the standard normal CDF for z > 0 (see the module docstring)
-    return math.log1p(-0.5 * math.erfc(z * _SQRT_HALF))
-
-
-def _alpha_terms(kind: PriorKind, a: float, n: int, tuning: float) -> tuple[float, float, float]:
+def _alpha_terms(kind: PriorKind, a: float, n: int) -> tuple[float, float]:
     # The parts of the shape's MH log ratio that depend on one alpha alone:
-    # -n log Gamma(a), the log prior and log Phi(a/tuning).  A chain carries
-    # them for its current alpha and computes them only for a proposal.
-    return -n * math.lgamma(a), log_prior_alpha(kind, a), _log_phi(a / tuning)
+    # -n log Gamma(a) and the log prior.  A chain carries them for its
+    # current alpha and computes them only for a proposal.
+    return -n * math.lgamma(a), log_prior_alpha(kind, a)
 
 
-def _log_conditional(terms: tuple[float, float, float], a: float, sum_log_lam: float) -> float:
+def _log_conditional(terms: tuple[float, float], a: float, sum_log_lam: float) -> float:
     return terms[0] + (a - 1.0) * sum_log_lam + terms[1]
 
 
 def _mh_step_alpha(
     current: float,
-    terms: tuple[float, float, float],
+    terms: tuple[float, float],
     kind: PriorKind,
     n: int,
     sum_log_lam: float,
-    tuning: float,
+    scale: float,
     z: float,
     log_u: float,
-    rng: np.random.Generator,
-) -> tuple[float, tuple[float, float, float], bool]:
-    # terms are _alpha_terms(kind, current, n, tuning); z is the proposal's
-    # first standard normal increment, later ones come from rng, and log_u
-    # is log(1 - u) for a uniform u in [0, 1).  Returns the new alpha, its
-    # terms and whether the proposal was accepted.
-    proposal = current + tuning * z
-    while proposal <= 0.0:
-        proposal = current + tuning * rng.standard_normal()
-    proposed = _alpha_terms(kind, proposal, n, tuning)
+) -> tuple[float, tuple[float, float], bool]:
+    # terms are _alpha_terms(kind, current, n); z is a standard normal and
+    # log_u is log(1 - u) for a uniform u in [0, 1).  Returns the new alpha,
+    # its terms and whether the proposal was accepted.
+    step = scale * z
+    proposal = current * math.exp(step)
+    proposed = _alpha_terms(kind, proposal, n)
     log_ratio = (
         _log_conditional(proposed, proposal, sum_log_lam)
         - _log_conditional(terms, current, sum_log_lam)
-        # Hastings ratio of the positive-truncated normal proposal densities
-        + (terms[2] - proposed[2])
+        # Jacobian of the walk on log alpha: log(proposal / current)
+        + step
     )
     # log_u = 0 for u = 0 keeps "ratio 0 => always accept" exact
     if log_u <= log_ratio:
@@ -285,8 +276,9 @@ def run_chain(d: Dataset, kind: PriorKind, cfg: McmcConfig, chain_index: int = 0
     accepted = 0
     k = 0
 
-    n, burn_in, thin, tuning = d.n, cfg.burn_in, cfg.thin, cfg.tuning
-    terms = _alpha_terms(kind, alpha, n, tuning)
+    n, burn_in, thin = d.n, cfg.burn_in, cfg.thin
+    scale = 1.5 / math.sqrt(n)  # of the walk on log alpha (module docstring)
+    terms = _alpha_terms(kind, alpha, n)
     # an overflowed x_i/beta and the log of the 0 latent it gives are caught
     # below by value, so numpy need not warn of them (entered once per chain)
     with np.errstate(over="ignore", divide="ignore"):
@@ -306,7 +298,7 @@ def run_chain(d: Dataset, kind: PriorKind, cfg: McmcConfig, chain_index: int = 0
                     raise _overflow(beta, "some")
                 beta = new_beta
                 alpha, terms, acc = _mh_step_alpha(
-                    alpha, terms, kind, n, sum_log_lam, tuning, z, log_u, rng
+                    alpha, terms, kind, n, sum_log_lam, scale, z, log_u
                 )
                 accepted += acc
                 if it >= burn_in and (it - burn_in + 1) % thin == 0:

@@ -32,10 +32,10 @@ from lomaxbayes import (
 )
 from lomaxbayes.cli import main
 from lomaxbayes.sampler import run_chain, sample_beta, sample_lambda
-from mh_oracle import CHAINS, stationary_mean, target_mean
+from mh_oracle import ACCEPT_BRACKET, CHAINS, stationary_mean, target_mean
 
 TRUTH = LomaxParams(beta=2.0, alpha=1.5)
-STUDY_MCMC = McmcConfig(iterations=11000, burn_in=1000, thin=10, chains=2, tuning=1.0)
+STUDY_MCMC = McmcConfig(iterations=11000, burn_in=1000, thin=10, chains=2)
 
 INI_DATA = os.environ.get(
     "LOMAXBAYES_INI_DATA",
@@ -52,7 +52,7 @@ def _report(num, ok, detail=""):
 def recovery_chains():
     """Criterion-5 run, shared with criterion 7's PSRF check."""
     d = sample(TRUTH, np.random.default_rng(42), 500)
-    cfg = McmcConfig(iterations=11000, burn_in=1000, thin=10, chains=2, tuning=1.0, seed=11)
+    cfg = McmcConfig(iterations=11000, burn_in=1000, thin=10, chains=2, seed=11)
     return run_chains(d, PriorKind.REFERENCE, cfg)
 
 
@@ -171,18 +171,17 @@ def test_criterion_07_convergence_diagnostics(recovery_chains):
     psrf_b = gelman_rubin([c.beta for c in recovery_chains])
     ok = psrf_a <= 1.1 and psrf_b <= 1.1
 
-    # Acceptance bracket for the reference prior at n <= 200, run at
-    # proposal scale 0.1: the shape conditional tightens like
-    # sqrt(alpha/n), so a unit-scale walk accepts far below this zone
-    # at every n here.
+    # Acceptance bracket for the reference prior at n <= 200: the shape
+    # step's scale follows the conditional's sd, so the rate does not
+    # drift with n (mh_oracle.ACCEPT_BRACKET)
     rates = []
     for n in (50, 100, 200):
         d = sample(TRUTH, np.random.default_rng(500 + n), n)
-        cfg = McmcConfig(iterations=11000, burn_in=1000, thin=10, chains=1,
-                         tuning=0.1, seed=77)
+        cfg = McmcConfig(iterations=11000, burn_in=1000, thin=10, chains=1, seed=77)
         c = run_chain(d, PriorKind.REFERENCE, cfg)
         rates.append(c.accepted / c.proposed)
-    ok &= all(0.5 < r < 1.0 for r in rates)
+    low, high = ACCEPT_BRACKET
+    ok &= all(low < r < high for r in rates)
     _report(7, ok,
             f"(psrf alpha={psrf_a:.4f} beta={psrf_b:.4f} <= 1.1; "
             f"accept rates n=50/100/200: {', '.join(f'{r:.3f}' for r in rates)})")
@@ -222,7 +221,7 @@ def test_criterion_09_application_reference_values(tmp_path):
         code = main([
             "fit", INI_DATA, "--prior", prior, "--out", str(out),
             "--iters", "80000", "--burnin", "20000", "--thin", "20",
-            "--chains", "2", "--tuning", "1.0", "--seed", "0",
+            "--chains", "2", "--seed", "0",
         ])
         ok &= code == 0
         summary = json.loads((out / "summary.json").read_text())

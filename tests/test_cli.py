@@ -12,6 +12,7 @@ import pytest
 
 import lomaxbayes
 from lomaxbayes import (
+    Chain,
     DegenerateDataError,
     LomaxParams,
     McmcConfig,
@@ -21,6 +22,7 @@ from lomaxbayes import (
     sampler,
     summarize,
 )
+from lomaxbayes import cli
 from lomaxbayes.cli import (
     _sig6,
     EXIT_DATA,
@@ -98,7 +100,6 @@ class TestParserDefaults:
     def test_fit_defaults_match_application_protocol(self):
         args = build_parser().parse_args(["fit", "x.txt"])
         assert (args.iters, args.burnin, args.thin, args.chains) == (80000, 20000, 20, 2)
-        assert args.tuning == 1.0
         assert args.prior == "jeffreys"  # the one prior here whose posterior is proper
 
     def test_simulate_defaults_match_study_design(self):
@@ -169,11 +170,17 @@ class TestFitCommand:
                 "ci_low": _sig6(s.ci_low), "ci_high": _sig6(s.ci_high),
             }
 
-    def test_constant_retained_draws_give_null_psrf(self, tmp_path):
-        # at n = 5000 the shape proposal is rarely accepted; here neither chain
-        # moves alpha between its 2 retained draws, so W = 0 for alpha
-        d = sample(LomaxParams(2.0, 1.5), np.random.default_rng(0), 5000)
-        data = _write(tmp_path, "\n".join(repr(v) for v in d.x.tolist()) + "\n")
+    def test_constant_retained_draws_give_null_psrf(self, tmp_path, monkeypatch):
+        # neither chain moves alpha between its 2 retained draws, so W = 0 for alpha
+        def constant_alpha(d, kind, cfg):
+            return tuple(
+                Chain(alpha=np.full(cfg.retained, 1.4 + 0.2 * i), beta=np.array([1.0, 2.0 + i]),
+                      accepted=0, proposed=cfg.iterations, chain_index=i, config=cfg)
+                for i in range(cfg.chains)
+            )
+
+        monkeypatch.setattr(cli, "run_chains", constant_alpha)
+        data = _make_data_file(tmp_path)
         out = tmp_path / "out"
         flags = ["--prior", "jeffreys", "--iters", "12", "--burnin", "2", "--thin", "5",
                  "--seed", "0", "--out", str(out)]
@@ -299,12 +306,22 @@ class TestFitCommand:
         assert "data error" in err and f"{data}: not UTF-8 text" in err
         assert not out.exists()
 
-    def test_usage_error_exits_1(self, tmp_path):
+    def test_usage_error_exits_1(self, tmp_path, capsys):
         data = _make_data_file(tmp_path)
         assert main(["fit", data, "--prior", "flat"]) == EXIT_USAGE
         assert main([]) == EXIT_USAGE
+        # the shape step's proposal scale is derived from n, not set
+        assert main(["fit", data, "--tuning", "1.0"]) == EXIT_USAGE
         # invalid run configuration (burn-in beyond iterations)
         assert main(["fit", data, "--iters", "10", "--burnin", "100"]) == EXIT_USAGE
+        # 1e14 retained draws cannot be allocated
+        out = tmp_path / "out"
+        flags = ["--iters", "100000000000000", "--burnin", "0", "--thin", "1", "--chains", "1"]
+        capsys.readouterr()
+        assert main(["fit", data, "--out", str(out)] + flags) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "invalid configuration" in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_negative_seed_exits_1_before_writing(self, tmp_path, capsys):
         data = _make_data_file(tmp_path)

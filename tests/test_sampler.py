@@ -2,13 +2,11 @@
 
 import math
 import threading
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from scipy.special import log_ndtr
 from scipy.stats import gamma as gamma_dist
-from scipy.stats import norm
 
 from lomaxbayes import (
     Dataset,
@@ -25,13 +23,12 @@ from lomaxbayes.priors import log_prior_alpha
 from lomaxbayes.sampler import (
     _alpha_terms,
     _log_conditional,
-    _log_phi,
     _mh_step_alpha,
     run_chain,
     sample_beta,
     sample_lambda,
 )
-from mh_oracle import stationary_mean, target_mean
+from mh_oracle import ACCEPT_BRACKET, stationary_mean, target_mean
 
 N_DRAWS = 100_000
 
@@ -57,12 +54,6 @@ class TestMcmcConfig:
         dict(iterations=100, burn_in=-1, thin=1),
         dict(iterations=100, burn_in=0, thin=0),
         dict(iterations=100, burn_in=0, thin=1, chains=0),
-        dict(iterations=100, burn_in=0, thin=1, tuning=0.0),
-        # McmcConfig is the only guard on the shape step's tuning: unchecked,
-        # NaN would redraw forever, 0 divide by zero and -1 flip the walk
-        dict(iterations=100, burn_in=0, thin=1, tuning=-1.0),
-        dict(iterations=100, burn_in=0, thin=1, tuning=math.nan),
-        dict(iterations=100, burn_in=0, thin=1, tuning=math.inf),
         dict(iterations=100, burn_in=99, thin=2),  # zero retained draws
         dict(iterations=100, burn_in=99, thin=1),  # one retained draw
         dict(iterations=100, burn_in=0, thin=1, seed=-1),
@@ -70,6 +61,12 @@ class TestMcmcConfig:
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
             McmcConfig(**kwargs)
+
+    def test_has_no_proposal_scale_field(self):
+        # run_chain derives the shape step's scale from n
+        assert [f.name for f in fields(McmcConfig)] == ["iterations", "burn_in", "thin", "chains", "seed"]
+        with pytest.raises(TypeError):
+            McmcConfig(iterations=100, burn_in=0, thin=1, tuning=1.0)
 
     # each would pass the range checks and fail later inside run_chains
     @pytest.mark.parametrize("kwargs", [
@@ -170,8 +167,7 @@ class TestSampleBeta:
 
 
 def _shape_log_density(kind, a, lam):
-    # the density's terms do not involve the tuning, so any value will do
-    return _log_conditional(_alpha_terms(kind, a, len(lam), 1.0), a, float(np.log(lam).sum()))
+    return _log_conditional(_alpha_terms(kind, a, len(lam)), a, float(np.log(lam).sum()))
 
 
 class TestAlphaConditional:
@@ -201,83 +197,75 @@ class TestAlphaConditional:
 
 
 class TestMhStepAlpha:
-    # a positive first proposal draws nothing from rng, so these steps get None
+    N, SUM_LOG = 2, math.log(0.5) + math.log(2.0)
+    SCALE = 1.5 / math.sqrt(N)
 
     def test_proposal_equal_to_current_always_accepted(self):
-        kind, sum_log = PriorKind.REFERENCE, math.log(0.5) + math.log(2.0)
+        kind = PriorKind.REFERENCE
         new, _, accepted = _mh_step_alpha(
-            1.7, _alpha_terms(kind, 1.7, 2, 1.0), kind, 2, sum_log, 1.0,
-            0.0, math.log1p(-0.999), None,
+            1.7, _alpha_terms(kind, 1.7, self.N), kind, self.N, self.SUM_LOG, self.SCALE,
+            0.0, math.log1p(-0.999),
         )
         assert accepted and new == 1.7
 
     @pytest.mark.parametrize("kind", list(PriorKind))
     @pytest.mark.parametrize("step,uniform,accept", [
         (0.3, 1.0 - 1e-6, True),  # log u = -13.8 is below any ratio near 1.7
-        (30.0, 0.0, False),  # log u = 0 and alpha = 31.7 is far less likely
+        (30.0, 0.0, False),  # log u = 0 and alpha = 1.7 e^31.8 is far less likely
     ])
     def test_returns_the_terms_of_the_alpha_it_returns(self, kind, step, uniform, accept):
-        n, sum_log, tuning = 2, math.log(0.5) + math.log(2.0), 1.0
-        terms = _alpha_terms(kind, 1.7, n, tuning)
+        s = self.SCALE
+        terms = _alpha_terms(kind, 1.7, self.N)
         new, new_terms, accepted = _mh_step_alpha(
-            1.7, terms, kind, n, sum_log, tuning, step, math.log1p(-uniform), None
+            1.7, terms, kind, self.N, self.SUM_LOG, s, step, math.log1p(-uniform)
         )
         assert accepted is accept
-        assert new == (1.7 + step if accept else 1.7)
-        assert new_terms == _alpha_terms(kind, new, n, tuning)
+        assert new == (1.7 * math.exp(s * step) if accept else 1.7)
+        assert new_terms == _alpha_terms(kind, new, self.N)
 
-    def test_nonpositive_first_proposal_redraws_from_rng(self):
-        kind, n, sum_log, tuning = PriorKind.REFERENCE, 2, math.log(0.5) + math.log(2.0), 1.0
-        rng, ref = np.random.default_rng(5), np.random.default_rng(5)
-        new, _, accepted = _mh_step_alpha(
-            0.5, _alpha_terms(kind, 0.5, n, tuning), kind, n, sum_log, tuning, -10.0, -math.inf, rng
+    @pytest.mark.parametrize("kind", list(PriorKind))
+    @pytest.mark.parametrize("z", [1.0, -1.0])
+    def test_hastings_term_is_the_log_jacobian(self, kind, z):
+        # log u halfway between the target ratio and the ratio plus
+        # log(proposal / current): accepted up the walk, rejected down it
+        terms = _alpha_terms(kind, 1.7, self.N)
+        proposal = 1.7 * math.exp(self.SCALE * z)
+        target = (_log_conditional(_alpha_terms(kind, proposal, self.N), proposal, self.SUM_LOG)
+                  - _log_conditional(terms, 1.7, self.SUM_LOG))
+        log_u = target + (math.log(proposal) - math.log(1.7)) / 2
+        assert log_u < 0.0  # the log of some 1 - u
+        _, _, accepted = _mh_step_alpha(
+            1.7, terms, kind, self.N, self.SUM_LOG, self.SCALE, z, log_u
         )
-        # the first increment is given; later ones come from rng until positive
-        while (want := 0.5 + tuning * ref.standard_normal()) <= 0.0:
-            pass
-        assert accepted and new == want
-        assert rng.bit_generator.state == ref.bit_generator.state
+        assert accepted is (z > 0)
 
-    @staticmethod
-    def _truncation_log_correction(current, proposal, tuning):
-        # the Hastings term of a step from current to proposal
-        return (_alpha_terms(PriorKind.REFERENCE, current, 3, tuning)[2]
-                - _alpha_terms(PriorKind.REFERENCE, proposal, 3, tuning)[2])
+    def test_far_negative_increment_gives_a_positive_proposal_and_draws_nothing(self, monkeypatch):
+        # 40 sds below the current log alpha: a walk on log alpha stays positive
+        kind = PriorKind.REFERENCE
+        new, _, accepted = _mh_step_alpha(
+            0.5, _alpha_terms(kind, 0.5, self.N), kind, self.N, self.SUM_LOG, self.SCALE,
+            -40.0, -math.inf,
+        )
+        assert accepted and new == 0.5 * math.exp(-40.0 * self.SCALE) > 0.0
 
-    def test_truncation_correction_matches_normal_logcdf(self):
-        got = self._truncation_log_correction(0.4, 1.1, 0.7)
-        want = norm.logcdf(0.4 / 0.7) - norm.logcdf(1.1 / 0.7)
-        assert got == pytest.approx(want, rel=1e-12)
+        # within a block of variates, the generator a chain passes to the
+        # latent draw moves only by that draw
+        states, orig = [], sampler.sample_lambda
 
-    def test_truncation_correction_vanishes_far_from_zero(self):
-        # both current and proposal many tuning sds above 0: Phi -> 1
-        assert self._truncation_log_correction(40.0, 41.0, 1.0) == 0.0
+        def spy(alpha, beta, d, rng, out, work):
+            before = rng.bit_generator.state
+            got = orig(alpha, beta, d, rng, out, work)
+            states.append((before, rng.bit_generator.state))
+            return got
+
+        monkeypatch.setattr(sampler, "sample_lambda", spy)
+        run_chain(_data(10), kind, McmcConfig(iterations=300, burn_in=0, thin=1, seed=3))
+        assert all(prev[1] == cur[0] for prev, cur in zip(states, states[1:]))
 
     def test_stationary_mean_matches_quadrature(self):
         # fixed latents: independent chains of the step must hold the conditional's mean
         mean, se = stationary_mean()
         assert abs(mean - target_mean()) < 3 * se
-
-
-class TestLogPhi:
-    """The stdlib log Phi against scipy's log_ndtr, a test-only dependency."""
-
-    GRID = np.geomspace(1e-8, 1e3, 2001)
-
-    def test_relative_error_up_to_6(self):
-        z = self.GRID[self.GRID <= 6.0]
-        got = np.array([_log_phi(float(v)) for v in z])
-        np.testing.assert_allclose(got, log_ndtr(z), rtol=1e-14, atol=0.0)
-
-    def test_absolute_error_beyond_6(self):
-        # log Phi(z) ~ -Phi(-z) here, far below 1: an absolute bound
-        z = self.GRID[self.GRID > 6.0]
-        got = np.array([_log_phi(float(v)) for v in z])
-        np.testing.assert_allclose(got, log_ndtr(z), rtol=0.0, atol=1e-22)
-
-    def test_endpoints(self):
-        assert _log_phi(5e-324) == math.log(0.5)
-        assert _log_phi(math.inf) == 0.0
 
 
 def _data(n, seed=0, params=LomaxParams(2.0, 1.5)):
@@ -319,6 +307,18 @@ class TestRunChain:
         assert short.alpha.tobytes() == long.alpha[:iterations].tobytes()
         assert short.beta.tobytes() == long.beta[:iterations].tobytes()
         assert short.accepted == sum(flags[:iterations])
+
+    @pytest.mark.parametrize("n", [2, 50, 5000])
+    def test_walk_scale_is_derived_from_n(self, monkeypatch, n):
+        scales, orig = [], sampler._mh_step_alpha
+
+        def spy(*args):
+            scales.append(args[5])
+            return orig(*args)
+
+        monkeypatch.setattr(sampler, "_mh_step_alpha", spy)
+        run_chain(_data(n), PriorKind.REFERENCE, McmcConfig(iterations=3, burn_in=0, thin=1, seed=1))
+        assert scales == [1.5 / math.sqrt(n)] * 3
 
     def test_chain_index_changes_stream(self):
         d = _data(10)
@@ -436,9 +436,10 @@ def _allocating_chain(d, kind, cfg, chain_index=0):
 
     At iterations 0, 1024, 2048, ... it draws 1024 Gamma(n) variates, then
     1024 normals, then 1024 uniforms, all from the chain's generator; each
-    iteration takes its scale divisor, first proposal increment and
-    acceptance uniform from them and draws its latents and any redrawn
-    proposal increments from the generator as it goes."""
+    iteration takes its scale divisor, proposal increment and acceptance
+    uniform from them and draws only its latents from the generator.  The
+    shape proposal is a normal step of sd 1.5/sqrt(n) on log alpha, whose
+    Hastings term is log(proposal) - log(alpha)."""
     block = 1024
 
     def log_conditional(a, sum_log_lam):
@@ -447,7 +448,7 @@ def _allocating_chain(d, kind, cfg, chain_index=0):
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(cfg.chains)[chain_index])
     alpha = float(rng.gamma(1.0))
     beta = float(rng.gamma(1.0))
-    tuning = cfg.tuning
+    sd = 1.5 / math.sqrt(d.n)
     alphas, betas = [], []
     accepted = 0
     for it in range(cfg.iterations):
@@ -459,13 +460,11 @@ def _allocating_chain(d, kind, cfg, chain_index=0):
         lam = rng.gamma(alpha + 1.0, 1.0 / (1.0 + d.x / beta))
         beta = float(lam @ d.x) / float(gammas[j])
         sum_log_lam = float(np.log(lam).sum())
-        proposal = alpha + tuning * float(increments[j])
-        while proposal <= 0.0:
-            proposal = alpha + rng.normal(0.0, tuning)
+        proposal = alpha * math.exp(sd * float(increments[j]))
         log_ratio = (
             log_conditional(proposal, sum_log_lam)
             - log_conditional(alpha, sum_log_lam)
-            + float(log_ndtr(alpha / tuning) - log_ndtr(proposal / tuning))
+            + (math.log(proposal) - math.log(alpha))
         )
         acc = float(log_us[j]) <= log_ratio
         if acc:
@@ -489,13 +488,14 @@ _IDENTITY_CASES = [
 class TestBufferedKernelIdentity:
     """run_chain's in-place kernel gives the allocating loop's bits exactly."""
 
-    @pytest.mark.parametrize("tuning", [1.0, 0.3])
+    # 1100 iterations cross the end of the first block of variates
+    @pytest.mark.parametrize("iterations", [600, 1100])
     @pytest.mark.parametrize("thin", [5, 1])
     @pytest.mark.parametrize("chain_index", [1, 0])
     @pytest.mark.parametrize("kind,n", _IDENTITY_CASES)
-    def test_matches_allocating_loop_bitwise(self, kind, n, chain_index, thin, tuning):
+    def test_matches_allocating_loop_bitwise(self, kind, n, chain_index, thin, iterations):
         d = _data(n, seed=n)
-        cfg = McmcConfig(iterations=600, burn_in=100, thin=thin, seed=2718, tuning=tuning)
+        cfg = McmcConfig(iterations=iterations, burn_in=100, thin=thin, seed=2718)
         c = run_chain(d, kind, cfg, chain_index=chain_index)
         alpha, beta, accepted = _allocating_chain(d, kind, cfg, chain_index)
         assert 0 < accepted < cfg.iterations
@@ -529,14 +529,15 @@ class TestBufferedKernelIdentity:
 
 
 class TestMixingBehavior:
-    def test_reference_acceptance_bracket_small_proposal(self):
-        # The shape conditional tightens like sqrt(alpha/n), so a unit
-        # proposal overshoots at moderate n; a 0.1-scale walk stays in
-        # the high-acceptance zone (0.5, 1).
-        d = _data(50, seed=31)
-        cfg = McmcConfig(iterations=6000, burn_in=500, thin=10, chains=1, seed=7, tuning=0.1)
+    @pytest.mark.parametrize("n", [50, 500, 5000])
+    def test_reference_acceptance_bracket(self, n):
+        # the walk's scale follows the conditional's sd (mh_oracle.ACCEPT_BRACKET),
+        # so the rate does not drift with n
+        d = _data(n, seed=31)
+        cfg = McmcConfig(iterations=6000, burn_in=500, thin=10, chains=1, seed=7)
         c = run_chain(d, PriorKind.REFERENCE, cfg)
-        assert 0.5 < c.accepted / c.proposed < 1.0
+        low, high = ACCEPT_BRACKET
+        assert low < c.accepted / c.proposed < high
 
     def test_posterior_recovery_at_n500(self):
         d = _data(500, seed=2024)

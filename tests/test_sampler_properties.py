@@ -16,26 +16,24 @@ from lomaxbayes.sampler import _alpha_terms, _mh_step_alpha  # noqa: E402
 @given(
     kind=st.sampled_from(list(PriorKind)),
     n=st.integers(1, 5000),
-    tuning=st.floats(0.01, 10.0),
+    # run_chain's scale 1.5/sqrt(n) is at most 1.5
+    scale=st.floats(0.01, 1.5),
     alpha=st.floats(0.01, 50.0),
     # the mean log latent of each step; sum log lambda is n times it
     log_levels=st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=30),
     seed=st.integers(0, 2**64 - 1),
 )
-def test_carried_terms_are_those_of_the_current_alpha(kind, n, tuning, alpha, log_levels, seed):
-    carried, fresh = np.random.default_rng(seed), np.random.default_rng(seed)
-    steps = np.random.default_rng([seed, 1])
-    terms = _alpha_terms(kind, alpha, n, tuning)
+def test_carried_terms_are_those_of_the_current_alpha(kind, n, scale, alpha, log_levels, seed):
+    steps = np.random.default_rng(seed)
+    terms = _alpha_terms(kind, alpha, n)
     for level in log_levels:
         sum_log_lam = float(np.log(np.full(n, math.exp(level))).sum())
         z, log_u = steps.standard_normal(), math.log1p(-steps.random())
         # the same step with every term recomputed for the current alpha
-        fresh_terms = _alpha_terms(kind, alpha, n, tuning)
+        fresh_terms = _alpha_terms(kind, alpha, n)
         want, _, want_accepted = _mh_step_alpha(
-            alpha, fresh_terms, kind, n, sum_log_lam, tuning, z, log_u, fresh
+            alpha, fresh_terms, kind, n, sum_log_lam, scale, z, log_u
         )
-        alpha, terms, accepted = _mh_step_alpha(
-            alpha, terms, kind, n, sum_log_lam, tuning, z, log_u, carried
-        )
+        alpha, terms, accepted = _mh_step_alpha(alpha, terms, kind, n, sum_log_lam, scale, z, log_u)
         assert (alpha, accepted) == (want, want_accepted)
-        assert terms == _alpha_terms(kind, alpha, n, tuning)
+        assert terms == _alpha_terms(kind, alpha, n)
