@@ -3,8 +3,9 @@
 Closed-form distribution functions, Jeffreys/reference priors, a
 data-augmented Metropolis-Hastings-within-Gibbs sampler, convergence
 diagnostics, and a Monte Carlo bias/rmse study harness.  One chain
-(``run_chain``) and its two Gibbs draws (``sample_lambda``,
-``sample_beta``) are importable from :mod:`lomaxbayes.sampler`.
+(``run_chain``) and its two Gibbs draws (``sample_lambda``, of the
+latents over beta, and ``sample_beta``) are importable from
+:mod:`lomaxbayes.sampler`.
 """
 
 from .diagnostics import SummaryStats, acceptance_rate, gelman_rubin, summarize

@@ -4,10 +4,11 @@ The density is f(x) = (alpha/beta) * (1 + x/beta)^-(alpha+1) on x >= 0,
 with shape alpha > 0 and scale beta > 0.  The same law arises as a gamma
 mixture of exponentials,
 
-    lambda ~ Gamma(alpha, 1),    X | lambda ~ Exponential(rate lambda/beta),
+    theta ~ Gamma(alpha, rate beta),    X | theta ~ Exponential(rate theta),
 
-which is the representation the Gibbs sampler exploits; both samplers
-below draw from the identical marginal law.
+where theta = lambda/beta for a unit-scale lambda ~ Gamma(alpha, 1).  The
+Gibbs sampler exploits it: given x, theta ~ Gamma(alpha + 1, rate beta + x).
+Both samplers below draw from the identical marginal law.
 
 All evaluations work in log space via ``log1p(x/beta)`` so accuracy is
 kept for x far below or far above the scale.

@@ -1,22 +1,24 @@
 """Data-augmented Metropolis-Hastings-within-Gibbs sampler for the Lomax model.
 
 The chain state is (alpha, beta, lambda_1..lambda_n).  ``run_chain`` keeps
-it in local variables and hands each stage plain values; each iteration
-updates, in this order:
+it in local variables and hands each stage plain values.  It holds each
+latent over the beta it was drawn with, ``u_i = lambda_i/beta``, so no
+stage forms ``x_i/beta``.  Each iteration updates, in this order:
 
-1. ``lambda_i | alpha, beta  ~  Gamma(alpha + 1, rate 1 + x_i/beta)``,
-   independently across observations, drawn as
-   ``standard_gamma(alpha + 1) * 1/(1 + x_i/beta)`` into buffers that a
-   chain allocates once;
+1. ``u_i | alpha, beta  ~  Gamma(alpha + 1, rate beta + x_i)``, which is
+   ``lambda_i ~ Gamma(alpha + 1, rate 1 + x_i/beta)``, independently
+   across observations, drawn as ``standard_gamma(alpha + 1) / (beta +
+   x_i)`` into buffers that a chain allocates once;
 2. ``beta | lambda  ~  InverseGamma(n, sum(lambda_i x_i))``, drawn as
-   that sum over a unit-rate Gamma(n) variate;
+   ``beta * sum(u_i x_i)`` over a unit-rate Gamma(n) variate;
 3. ``alpha | lambda`` by one random-walk Metropolis-Hastings step on
-   log alpha: the proposal is ``alpha * exp(s * z)`` for a standard
-   normal z, with ``s = 1.5/sqrt(n)``.  The walk is symmetric in log
-   alpha, so the Hastings term is the Jacobian ``log(proposal/alpha) =
-   s * z``, and every proposal is positive.  The chain carries ``-n log
-   Gamma(alpha)`` and the log prior of its current alpha from step to
-   step and computes them only for a proposal.
+   log alpha, given ``sum(log lambda_i) = n log beta + sum(log u_i)``
+   for the beta of step 1: the proposal is ``alpha * exp(s * z)`` for a
+   standard normal z, with ``s = 1.5/sqrt(n)``.  The walk is symmetric
+   in log alpha, so the Hastings term is the Jacobian ``log(proposal /
+   alpha) = s * z``, and every proposal is positive.  The chain carries
+   ``-n log Gamma(alpha) + log pi(alpha)`` of its current alpha from
+   step to step and computes it only for a proposal.
 
 The scale follows from the conditional being proposed on.  Given the
 latents, alpha is the shape of n unit-rate gammas, whose information is
@@ -46,34 +48,32 @@ drawn whole even when the chain ends inside it, so a chain of T
 iterations is a prefix of every longer chain with the same seed and chain
 index.
 
-The latent draw equals ``rng.gamma(alpha + 1, 1/rate)`` bit for bit and
-leaves the generator in the same state: numpy's ``Generator.gamma(shape,
-scale)`` computes ``scale * standard_gamma(shape)`` element by element from
-the same stream, and the scale ``1/(1 + x_i/beta)`` is computed with the
-same operations in the same order.  So an iteration allocates no length-n
-array without changing any draw.  The scale stays ``1/(1 + x_i/beta)``
-rather than the equal ``beta/(beta + x_i)``: where ``x_i/beta``
-overflows, the first is 0, so the latent is 0 and ``run_chain`` raises
-``DegenerateDataError`` naming that beta: for every x_i > 0 when
-sum(lambda_i x_i) is then 0, and for some x_i > 0 when only
-sum(log lambda_i) is -inf (``fit`` on ``1e300, 2e300, 3.0, 5.0`` exits
-3), while the second stays positive and lets such a chain run on.  Which
-is right belongs with moving the scale to log beta.  Data with a zero
-observation, such as ``[0]*99 + [1.0]``, never get here: their posterior
-is improper, and ``check_propriety`` refuses them before any chain runs.
+The stream is the one the sampler drew when it held lambda_i itself, as
+``standard_gamma(alpha + 1) * 1/(1 + x_i/beta)``, and each stage is that
+stage's algebra over beta, so in exact arithmetic the chain is the same
+Markov chain; only the rounding differs.  Against that lambda form (kept
+as an oracle in the tests) the alpha draws and acceptance counts are the
+same bit for bit, and the betas differ by at most 12 ulp over two chains
+each at n = 50, 500 and 5000 of 11,000, 80,000 and 20,000 iterations.
+At n = 1 the gap grows as a random walk while beta << x (65 ulp after
+5,000 iterations), since each beta then passes its rounding on whole.
+As x_i/beta is never formed, it cannot overflow: ``fit`` on ``1e300,
+2e300, 3.0, 5.0``, whose posterior is proper as beta -> 0, runs with
+beta far below 1e-8, where x_i/beta would overflow for x_i = 2e300.  A chain
+raises ``DegenerateDataError`` naming its beta only where a latent u_i
+or the next beta underflows to 0.  Data with a zero observation, such
+as ``[0]*99 + [1.0]``, never get here: their posterior is improper, and
+``check_propriety`` refuses them before any chain runs.
 
-Each stage uses the numpy call with the least per-call cost among those
-that give the same bits:
+An iteration makes six numpy calls, each the one with the least per-call
+cost among those that give the same bits:
 
-- ``np.reciprocal(w)`` for ``1.0 / w``: both are one correctly rounded
-  IEEE division per element;
-- ``lam.dot(x)`` for ``lam @ x``: both reach the same BLAS dot product
-  for two 1-D float arrays;
-- ``np.add.reduce(v)`` for ``v.sum()``: the method calls the same
-  pairwise reduction.
-
-``w += 1.0`` stays as it is: ``np.add(w, 1.0, out=w)`` gives the same bits
-but costs more per call.
+- ``out /= work`` for ``np.divide(out, work, out=out)``: the same ufunc;
+- ``u.dot(x)`` for ``u @ x``: both reach the same BLAS dot product for
+  two 1-D float arrays;
+- ``sum(log u_i)`` as the dot product with a ones vector that a chain
+  allocates once: at n = 50 it costs half of ``np.add.reduce``, whose
+  pairwise sum differs from it only in rounding.
 """
 
 from __future__ import annotations
@@ -104,11 +104,11 @@ __all__ = [
 # fork costs 15-30 ms and each forked chain's result is pickled back, so
 # short chains run faster one after another.  Forked / serial speed-up,
 # 2 chains, dependent Jeffreys, burn-in 10%, 2-core VM, median of 7
-# interleaved runs:
+# interleaved runs (the middle of three such medians):
 #
 #       iterations   250    500    1000   2000   4000
-#       n = 50       0.52   0.61   0.92   1.12   1.36
-#       n = 500      0.79   0.97   1.41   1.60   1.54
+#       n = 50       0.45   0.66   0.94   1.20   1.26
+#       n = 500      0.70   1.02   1.28   1.46   1.53
 #
 # A larger n only lowers the crossover.
 _FORK_MIN_ITERATIONS = 2000
@@ -118,7 +118,7 @@ _BLOCK = 1024
 
 
 class DegenerateDataError(ValueError):
-    """sum(lambda_i x_i) or a latent is 0: in a chain, x_i/beta overflowed."""
+    """A chain cannot go on: a latent or the next beta underflowed to 0."""
 
 
 @dataclass(frozen=True)
@@ -183,76 +183,66 @@ def sample_lambda(
     out: np.ndarray,
     work: np.ndarray,
 ) -> np.ndarray:
-    """One Gibbs draw of all latents: lambda_i ~ Gamma(alpha+1, 1 + x_i/beta).
+    """One Gibbs draw of all latents over beta: u_i ~ Gamma(alpha+1, rate beta + x_i).
 
-    Drawn as ``standard_gamma(alpha+1) * 1/(1 + x_i/beta)``.  The scale
-    goes into ``work`` and the draw into ``out``, which is returned; both
-    are length-n float arrays.  The bits equal ``rng.gamma(alpha+1,
-    1/(1 + x/beta))``, which numpy computes as the same product, and the
-    generator ends in the same state.
+    u_i = lambda_i/beta, drawn as ``standard_gamma(alpha+1) / (beta +
+    x_i)``.  The rate goes into ``work`` and the draw into ``out``, which
+    is returned; both are length-n float arrays.
     """
-    np.divide(d.x, beta, out=work)
-    work += 1.0
-    np.reciprocal(work, out=work)
+    np.add(d.x, beta, out=work)
     rng.standard_gamma(alpha + 1.0, out=out)
-    out *= work
+    out /= work
     return out
 
 
-def sample_beta(lam: np.ndarray, d: Dataset, g: float) -> float:
-    """One Gibbs draw of the scale: beta ~ InverseGamma(n, sum(lambda_i x_i)).
+def _underflow(beta: float, what: str) -> DegenerateDataError:
+    # beta is the scale the latents were drawn with
+    return DegenerateDataError(f"{what} underflowed to 0 at beta={beta!r}")
 
-    ``g`` is a unit-rate Gamma(n) variate; the draw is the sum over ``g``.
+
+def sample_beta(u: np.ndarray, d: Dataset, g: float, beta: float) -> float:
+    """One Gibbs draw of the scale: beta' ~ InverseGamma(n, beta * sum(u_i x_i)).
+
+    ``u`` holds the latents over the ``beta`` they were drawn with, and
+    ``g`` is a unit-rate Gamma(n) variate; the draw is ``beta * sum(u_i
+    x_i) / g``.  Raises ``DegenerateDataError`` if it underflows to 0.
     """
-    s = float(lam.dot(d.x))
-    if s <= 0.0:
-        raise DegenerateDataError("sum(lambda_i * x_i) is zero")
-    return s / g
+    new = beta * float(u.dot(d.x)) / g
+    if new <= 0.0:
+        raise _underflow(beta, "beta * sum(u_i x_i) / g")
+    return new
 
 
-def _alpha_terms(kind: PriorKind, a: float, n: int) -> tuple[float, float]:
-    # The parts of the shape's MH log ratio that depend on one alpha alone:
-    # -n log Gamma(a) and the log prior.  A chain carries them for its
-    # current alpha and computes them only for a proposal.
-    return -n * math.lgamma(a), log_prior_alpha(kind, a)
-
-
-def _log_conditional(terms: tuple[float, float], a: float, sum_log_lam: float) -> float:
-    return terms[0] + (a - 1.0) * sum_log_lam + terms[1]
+def _alpha_term(kind: PriorKind, a: float, n: int) -> float:
+    # The part of the shape's log conditional that depends on alpha alone,
+    # -n log Gamma(a) + log pi(a).  A chain carries it for its current
+    # alpha and computes it only for a proposal.
+    return -n * math.lgamma(a) + log_prior_alpha(kind, a)
 
 
 def _mh_step_alpha(
     current: float,
-    terms: tuple[float, float],
+    term: float,
     kind: PriorKind,
     n: int,
     sum_log_lam: float,
     scale: float,
     z: float,
     log_u: float,
-) -> tuple[float, tuple[float, float], bool]:
-    # terms are _alpha_terms(kind, current, n); z is a standard normal and
+) -> tuple[float, float, bool]:
+    # term is _alpha_term(kind, current, n); z is a standard normal and
     # log_u is log(1 - u) for a uniform u in [0, 1).  Returns the new alpha,
-    # its terms and whether the proposal was accepted.
+    # its term and whether the proposal was accepted.
     step = scale * z
     proposal = current * math.exp(step)
-    proposed = _alpha_terms(kind, proposal, n)
-    log_ratio = (
-        _log_conditional(proposed, proposal, sum_log_lam)
-        - _log_conditional(terms, current, sum_log_lam)
-        # Jacobian of the walk on log alpha: log(proposal / current)
-        + step
-    )
+    proposed = _alpha_term(kind, proposal, n)
+    # the log conditionals' ratio, then the Jacobian of the walk on log
+    # alpha, log(proposal / current)
+    log_ratio = proposed - term + (proposal - current) * sum_log_lam + step
     # log_u = 0 for u = 0 keeps "ratio 0 => always accept" exact
     if log_u <= log_ratio:
         return proposal, proposed, True
-    return current, terms, False
-
-
-def _overflow(beta: float, which: str) -> DegenerateDataError:
-    # beta is the scale the latents were drawn with
-    msg = f"beta={beta!r} is so small that x_i/beta overflows for {which} x_i > 0"
-    return DegenerateDataError(msg)
+    return current, term, False
 
 
 def run_chain(d: Dataset, kind: PriorKind, cfg: McmcConfig, chain_index: int = 0) -> Chain:
@@ -267,8 +257,9 @@ def run_chain(d: Dataset, kind: PriorKind, cfg: McmcConfig, chain_index: int = 0
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(chain_index,)))
     alpha = float(rng.gamma(1.0))
     beta = float(rng.gamma(1.0))
-    # the latents and a scratch vector live in these buffers for the whole chain
-    lam, work = np.empty(d.n), np.empty(d.n)
+    # the latents over beta, a scratch vector and the ones that sum a
+    # vector live in these buffers for the whole chain
+    u, work, ones = np.empty(d.n), np.empty(d.n), np.ones(d.n)
 
     retained = cfg.retained
     alpha_out = np.empty(retained)
@@ -278,9 +269,10 @@ def run_chain(d: Dataset, kind: PriorKind, cfg: McmcConfig, chain_index: int = 0
 
     n, burn_in, thin = d.n, cfg.burn_in, cfg.thin
     scale = 1.5 / math.sqrt(n)  # of the walk on log alpha (module docstring)
-    terms = _alpha_terms(kind, alpha, n)
-    # an overflowed x_i/beta and the log of the 0 latent it gives are caught
-    # below by value, so numpy need not warn of them (entered once per chain)
+    term = _alpha_term(kind, alpha, n)
+    # a rate beta + x_i that overflows and the log of the 0 latent it gives
+    # are caught below by value, so numpy need not warn of them (entered
+    # once per chain)
     with np.errstate(over="ignore", divide="ignore"):
         for start in range(0, cfg.iterations, _BLOCK):
             # whole blocks, even the last: a chain is a prefix of a longer one
@@ -288,17 +280,15 @@ def run_chain(d: Dataset, kind: PriorKind, cfg: McmcConfig, chain_index: int = 0
             normals = rng.standard_normal(_BLOCK).tolist()
             log_us = np.log1p(-rng.random(_BLOCK)).tolist()
             for it, g, z, log_u in zip(range(start, cfg.iterations), gammas, normals, log_us):
-                sample_lambda(alpha, beta, d, rng, lam, work)
-                try:
-                    new_beta = sample_beta(lam, d, g)
-                except DegenerateDataError:  # some x_i > 0, so only overflow zeroes the sum
-                    raise _overflow(beta, "every") from None
-                sum_log_lam = float(np.add.reduce(np.log(lam, out=work)))
-                if sum_log_lam == -math.inf:  # a latent is 0: its x_i/beta overflowed
-                    raise _overflow(beta, "some")
+                sample_lambda(alpha, beta, d, rng, u, work)
+                new_beta = sample_beta(u, d, g, beta)
+                sum_log_u = float(np.log(u, out=work).dot(ones))
+                if sum_log_u == -math.inf:
+                    raise _underflow(beta, "a latent u_i")
+                sum_log_lam = n * math.log(beta) + sum_log_u
                 beta = new_beta
-                alpha, terms, acc = _mh_step_alpha(
-                    alpha, terms, kind, n, sum_log_lam, scale, z, log_u
+                alpha, term, acc = _mh_step_alpha(
+                    alpha, term, kind, n, sum_log_lam, scale, z, log_u
                 )
                 accepted += acc
                 if it >= burn_in and (it - burn_in + 1) % thin == 0:

@@ -21,7 +21,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from lomaxbayes import PriorKind
-from lomaxbayes.sampler import _alpha_terms, _mh_step_alpha
+from lomaxbayes.sampler import _alpha_term, _mh_step_alpha
 
 LAM = (0.5, 2.0)
 SUM_LOG = math.fsum(math.log(v) for v in LAM)
@@ -47,11 +47,11 @@ def _chain_mean(seed: np.random.SeedSequence) -> float:
     normals = rng.standard_normal(steps).tolist()
     log_us = np.log1p(-rng.random(steps)).tolist()
     alpha = 1.0
-    terms = _alpha_terms(kind, alpha, n)
+    term = _alpha_term(kind, alpha, n)
     total = 0.0
     for i in range(steps):
-        alpha, terms, _ = _mh_step_alpha(
-            alpha, terms, kind, n, SUM_LOG, SCALE, normals[i], log_us[i]
+        alpha, term, _ = _mh_step_alpha(
+            alpha, term, kind, n, SUM_LOG, SCALE, normals[i], log_us[i]
         )
         if i >= BURN_IN:
             total += alpha

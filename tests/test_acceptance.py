@@ -92,11 +92,11 @@ def test_criterion_03_conditional_samplers():
     n_draws = 100_000
     ok = True
 
-    # latent conditional: Gamma(alpha+1, 1 + x/beta)
+    # latent conditional: lambda = beta * u ~ Gamma(alpha+1, 1 + x/beta)
     for alpha, beta, x in ((1.0, 1.0, 1.0), (1.5, 2.0, 3.0), (2.5, 0.5, 0.2)):
         shape, rate = alpha + 1.0, 1.0 + x / beta
         d = Dataset(np.full(n_draws, x))
-        draws = sample_lambda(
+        draws = beta * sample_lambda(
             alpha, beta, d, np.random.default_rng(301), np.empty(n_draws), np.empty(n_draws)
         )
         m, v = shape / rate, shape / rate**2
@@ -104,12 +104,13 @@ def test_criterion_03_conditional_samplers():
         se_var = v * math.sqrt(2.0 / (n_draws - 1) + (6.0 / shape) / n_draws)
         ok &= abs(draws.var(ddof=1) - v) < 3 * se_var
 
-    # scale conditional: InverseGamma(n, total)
+    # scale conditional: InverseGamma(n, total), total = sum(lambda_i x_i) = beta * sum(u_i x_i)
+    beta = 2.0
     for n, total in ((5, 8.0), (8, 4.0), (12, 18.0)):
         d = Dataset(np.ones(n))
-        lam = np.full(n, total / n)
+        u = np.full(n, total / (n * beta))
         gammas = np.random.default_rng(302).standard_gamma(n, n_draws)
-        draws = np.array([sample_beta(lam, d, g) for g in gammas])
+        draws = np.array([sample_beta(u, d, g, beta) for g in gammas])
         m = total / (n - 1)
         v = total**2 / ((n - 1) ** 2 * (n - 2))
         kurt = (30 * n - 66.0) / ((n - 3) * (n - 4))

@@ -21,8 +21,7 @@ from lomaxbayes import (
 from lomaxbayes import sampler
 from lomaxbayes.priors import log_prior_alpha
 from lomaxbayes.sampler import (
-    _alpha_terms,
-    _log_conditional,
+    _alpha_term,
     _mh_step_alpha,
     run_chain,
     sample_beta,
@@ -89,7 +88,7 @@ class TestMcmcConfig:
 
 
 class TestSampleLambda:
-    # (alpha, beta, x) -> latent conditional Gamma(alpha+1, 1 + x/beta)
+    # (alpha, beta, x) -> latent over beta, u = lambda/beta ~ Gamma(alpha+1, rate beta + x)
     @pytest.mark.parametrize("alpha,beta,x", [
         (1.0, 1.0, 1.0),
         (1.5, 2.0, 3.0),
@@ -97,7 +96,7 @@ class TestSampleLambda:
     ])
     def test_moments_within_3se(self, alpha, beta, x):
         shape = alpha + 1.0
-        rate = 1.0 + x / beta
+        rate = beta + x
         d = Dataset(np.full(N_DRAWS, x))
         draws = sample_lambda(
             alpha, beta, d, np.random.default_rng(101), np.empty(N_DRAWS), np.empty(N_DRAWS)
@@ -113,38 +112,40 @@ class TestSampleLambda:
         out, work = np.empty(40), np.empty(40)
         got = sample_lambda(1.3, 0.8, d, rng, out, work)
         assert got is out
-        np.testing.assert_array_equal(work, 1.0 / (1.0 + d.x / 0.8))
-        # the docstring's claim: rng.gamma's bits, and the same stream position
-        want = ref.gamma(1.3 + 1.0, 1.0 / (1.0 + d.x / 0.8))
+        np.testing.assert_array_equal(work, 0.8 + d.x)
+        # the docstring's claim: standard gammas over the rate, and the same stream position
+        want = ref.standard_gamma(1.3 + 1.0, d.n) / (0.8 + d.x)
         assert out.tobytes() == want.tobytes()
         assert rng.bit_generator.state == ref.bit_generator.state
 
     # a shape just above 1, scales far below and above the data, and zeros
-    # in x, where the scale is exactly 1
+    # in x, where the rate is beta itself
     @pytest.mark.parametrize("alpha,beta", [(1e-3, 1e-3), (0.5, 1.0), (40.0, 1e4)])
-    def test_draw_equals_rng_gamma_bitwise(self, alpha, beta):
+    def test_draw_equals_standard_gamma_over_rate_bitwise(self, alpha, beta):
         d = Dataset(np.array([0.0, 1e-6, 0.3, 2.0, 0.0, 75.0, 1e5]))
         rng, ref = np.random.default_rng(11), np.random.default_rng(11)
         out = sample_lambda(alpha, beta, d, rng, np.empty(d.n), np.empty(d.n))
-        want = ref.gamma(alpha + 1.0, 1.0 / (1.0 + d.x / beta))
+        want = ref.standard_gamma(alpha + 1.0, d.n) / (beta + d.x)
         assert out.tobytes() == want.tobytes()
         assert rng.bit_generator.state == ref.bit_generator.state
 
     def test_trivial_conditional_moments(self):
-        # alpha=1, beta=1, x=1: Gamma(2, 2) has mean 1 and variance 0.5
+        # alpha=1, beta=1, x=1: Gamma(2, rate 2) has mean 1 and variance 0.5
         shape, rate = 2.0, 2.0
         assert shape / rate == 1.0
         assert shape / rate**2 == 0.5
 
 
 class TestSampleBeta:
-    @staticmethod
-    def _draws(n, total, n_draws, seed):
-        # lam @ x = total with x = 1 and lam = total/n
+    BETA = 2.0
+
+    @classmethod
+    def _draws(cls, n, total, n_draws, seed):
+        # beta * (u @ x) = total with x = 1 and u = total/(n beta)
         d = Dataset(np.ones(n))
-        lam = np.full(n, total / n)
+        u = np.full(n, total / (n * cls.BETA))
         gammas = np.random.default_rng(seed).standard_gamma(n, n_draws)
-        return np.array([sample_beta(lam, d, g) for g in gammas])
+        return np.array([sample_beta(u, d, g, cls.BETA) for g in gammas])
 
     @pytest.mark.parametrize("n,total", [(5, 8.0), (8, 4.0), (12, 18.0)])
     def test_moments_within_3se(self, n, total):
@@ -162,12 +163,17 @@ class TestSampleBeta:
 
     def test_degenerate_data(self):
         d = Dataset(np.zeros(4))
-        with pytest.raises(DegenerateDataError):
-            sample_beta(np.ones(4), d, 4.0)
+        with pytest.raises(DegenerateDataError, match=r"^beta \* sum\(u_i x_i\) / g underflowed to 0 at beta=1.5$"):
+            sample_beta(np.ones(4), d, 4.0, 1.5)
+
+    def test_draw_is_beta_times_the_sum_over_g(self):
+        d = Dataset(np.array([0.5, 2.0, 7.0]))
+        u = np.array([0.3, 1.1, 0.02])
+        assert sample_beta(u, d, 2.5, 3.0) == 3.0 * float(u @ d.x) / 2.5
 
 
 def _shape_log_density(kind, a, lam):
-    return _log_conditional(_alpha_terms(kind, a, len(lam)), a, float(np.log(lam).sum()))
+    return _alpha_term(kind, a, len(lam)) + (a - 1.0) * float(np.log(lam).sum())
 
 
 class TestAlphaConditional:
@@ -203,7 +209,7 @@ class TestMhStepAlpha:
     def test_proposal_equal_to_current_always_accepted(self):
         kind = PriorKind.REFERENCE
         new, _, accepted = _mh_step_alpha(
-            1.7, _alpha_terms(kind, 1.7, self.N), kind, self.N, self.SUM_LOG, self.SCALE,
+            1.7, _alpha_term(kind, 1.7, self.N), kind, self.N, self.SUM_LOG, self.SCALE,
             0.0, math.log1p(-0.999),
         )
         assert accepted and new == 1.7
@@ -213,29 +219,28 @@ class TestMhStepAlpha:
         (0.3, 1.0 - 1e-6, True),  # log u = -13.8 is below any ratio near 1.7
         (30.0, 0.0, False),  # log u = 0 and alpha = 1.7 e^31.8 is far less likely
     ])
-    def test_returns_the_terms_of_the_alpha_it_returns(self, kind, step, uniform, accept):
+    def test_returns_the_term_of_the_alpha_it_returns(self, kind, step, uniform, accept):
         s = self.SCALE
-        terms = _alpha_terms(kind, 1.7, self.N)
-        new, new_terms, accepted = _mh_step_alpha(
-            1.7, terms, kind, self.N, self.SUM_LOG, s, step, math.log1p(-uniform)
+        term = _alpha_term(kind, 1.7, self.N)
+        new, new_term, accepted = _mh_step_alpha(
+            1.7, term, kind, self.N, self.SUM_LOG, s, step, math.log1p(-uniform)
         )
         assert accepted is accept
         assert new == (1.7 * math.exp(s * step) if accept else 1.7)
-        assert new_terms == _alpha_terms(kind, new, self.N)
+        assert new_term == _alpha_term(kind, new, self.N)
 
     @pytest.mark.parametrize("kind", list(PriorKind))
     @pytest.mark.parametrize("z", [1.0, -1.0])
     def test_hastings_term_is_the_log_jacobian(self, kind, z):
         # log u halfway between the target ratio and the ratio plus
         # log(proposal / current): accepted up the walk, rejected down it
-        terms = _alpha_terms(kind, 1.7, self.N)
+        lam = [0.5, 2.0]  # the latents of SUM_LOG
         proposal = 1.7 * math.exp(self.SCALE * z)
-        target = (_log_conditional(_alpha_terms(kind, proposal, self.N), proposal, self.SUM_LOG)
-                  - _log_conditional(terms, 1.7, self.SUM_LOG))
+        target = _shape_log_density(kind, proposal, lam) - _shape_log_density(kind, 1.7, lam)
         log_u = target + (math.log(proposal) - math.log(1.7)) / 2
         assert log_u < 0.0  # the log of some 1 - u
         _, _, accepted = _mh_step_alpha(
-            1.7, terms, kind, self.N, self.SUM_LOG, self.SCALE, z, log_u
+            1.7, _alpha_term(kind, 1.7, self.N), kind, self.N, self.SUM_LOG, self.SCALE, z, log_u
         )
         assert accepted is (z > 0)
 
@@ -243,7 +248,7 @@ class TestMhStepAlpha:
         # 40 sds below the current log alpha: a walk on log alpha stays positive
         kind = PriorKind.REFERENCE
         new, _, accepted = _mh_step_alpha(
-            0.5, _alpha_terms(kind, 0.5, self.N), kind, self.N, self.SUM_LOG, self.SCALE,
+            0.5, _alpha_term(kind, 0.5, self.N), kind, self.N, self.SUM_LOG, self.SCALE,
             -40.0, -math.inf,
         )
         assert accepted and new == 0.5 * math.exp(-40.0 * self.SCALE) > 0.0
@@ -348,13 +353,19 @@ class TestRunChain:
         with pytest.raises(ImproperPosteriorError, match="5 observations are 0"):
             run_chain(d, PriorKind.REFERENCE, cfg)
 
-    def test_zeroed_latents_name_beta_for_every_x(self, monkeypatch):
-        # every x_i > 0, so sum(lambda_i x_i) is 0 only if every x_i/beta overflowed
-        drawn_with = []
+    @pytest.mark.parametrize("zeroed,what", [
+        # every x_i > 0, so sum(u_i x_i) is 0 only if every latent underflowed
+        (slice(None), "beta * sum(u_i x_i) / g"),
+        # the rest keep the sum positive; sum(log u_i) is -inf
+        (slice(3, 4), "a latent u_i"),
+    ])
+    def test_zeroed_latents_name_beta(self, monkeypatch, zeroed, what):
+        drawn_with, orig = [], sampler.sample_lambda
 
         def zero_latents(alpha, beta, d, rng, out, work):
             drawn_with.append(beta)
-            out[:] = 0.0
+            orig(alpha, beta, d, rng, out, work)
+            out[zeroed] = 0.0
             return out
 
         monkeypatch.setattr(sampler, "sample_lambda", zero_latents)
@@ -362,7 +373,7 @@ class TestRunChain:
         with pytest.raises(DegenerateDataError) as info:
             run_chain(_data(10), PriorKind.JEFFREYS_DEPENDENT, cfg)
         (beta,) = drawn_with  # the first iteration stops the chain, naming its beta
-        assert str(info.value) == f"beta={beta!r} is so small that x_i/beta overflows for every x_i > 0"
+        assert str(info.value) == f"{what} underflowed to 0 at beta={beta!r}"
 
 
 class TestRunChains:
@@ -430,16 +441,25 @@ def _assert_chains_equal_run_chain(cs, d, kind, cfg):
             assert getattr(c, field).tobytes() == getattr(ref, field).tobytes()
 
 
+def _block_variates(rng, n, block):
+    # 1024 Gamma(n) variates, then 1024 normals, then 1024 log(1 - uniform)
+    return rng.gamma(n, 1.0, block), rng.normal(0.0, 1.0, block), np.log1p(-rng.random(block))
+
+
 def _allocating_chain(d, kind, cfg, chain_index=0):
-    """The Gibbs loop in its allocating form: fresh arrays every iteration,
-    and every term of the shape's log ratio computed afresh at every step.
+    """The Gibbs loop on u = lambda/beta in its allocating form: fresh arrays
+    every iteration, and every term of the shape's log ratio computed
+    afresh at every step.
 
     At iterations 0, 1024, 2048, ... it draws 1024 Gamma(n) variates, then
     1024 normals, then 1024 uniforms, all from the chain's generator; each
     iteration takes its scale divisor, proposal increment and acceptance
     uniform from them and draws only its latents from the generator.  The
-    shape proposal is a normal step of sd 1.5/sqrt(n) on log alpha, whose
-    Hastings term is log(proposal) - log(alpha)."""
+    latents over beta are standard gammas over the rate beta + x, the new
+    beta is beta times their sum against x over the Gamma(n) variate, and
+    sum(log lambda) is n log beta + sum(log u), summed as a dot product
+    with ones.  The shape proposal is a normal step of sd 1.5/sqrt(n) on
+    log alpha, whose Hastings term is log(proposal) - log(alpha)."""
     block = 1024
 
     def log_conditional(a, sum_log_lam):
@@ -454,9 +474,48 @@ def _allocating_chain(d, kind, cfg, chain_index=0):
     for it in range(cfg.iterations):
         j = it % block
         if j == 0:
-            gammas = rng.gamma(d.n, 1.0, block)
-            increments = rng.normal(0.0, 1.0, block)
-            log_us = np.log1p(-rng.random(block))
+            gammas, increments, log_us = _block_variates(rng, d.n, block)
+        u = rng.standard_gamma(alpha + 1.0, d.n) / (beta + d.x)
+        sum_log_lam = d.n * math.log(beta) + float(np.log(u) @ np.ones(d.n))
+        beta = beta * float(u @ d.x) / float(gammas[j])
+        proposal = alpha * math.exp(sd * float(increments[j]))
+        log_ratio = (
+            log_conditional(proposal, sum_log_lam)
+            - log_conditional(alpha, sum_log_lam)
+            + (math.log(proposal) - math.log(alpha))
+        )
+        acc = float(log_us[j]) <= log_ratio
+        if acc:
+            alpha = proposal
+        accepted += acc
+        if it >= cfg.burn_in and (it - cfg.burn_in + 1) % cfg.thin == 0:
+            alphas.append(alpha)
+            betas.append(beta)
+    return np.array(alphas), np.array(betas), accepted
+
+
+def _lambda_form_chain(d, kind, cfg, chain_index=0):
+    """The same chain in the form the sampler had before it held u =
+    lambda/beta: the latents themselves, Gamma(alpha + 1, rate 1 + x/beta),
+    drawn as rng.gamma with scale 1/(1 + x/beta), beta as sum(lambda x) over
+    the Gamma(n) variate and sum(log lambda) as numpy's pairwise sum.  It
+    takes the same variates in the same order, so only the rounding of
+    beta differs."""
+    block = 1024
+
+    def log_conditional(a, sum_log_lam):
+        return -d.n * math.lgamma(a) + (a - 1.0) * sum_log_lam + log_prior_alpha(kind, a)
+
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(cfg.chains)[chain_index])
+    alpha = float(rng.gamma(1.0))
+    beta = float(rng.gamma(1.0))
+    sd = 1.5 / math.sqrt(d.n)
+    alphas, betas = [], []
+    accepted = 0
+    for it in range(cfg.iterations):
+        j = it % block
+        if j == 0:
+            gammas, increments, log_us = _block_variates(rng, d.n, block)
         lam = rng.gamma(alpha + 1.0, 1.0 / (1.0 + d.x / beta))
         beta = float(lam @ d.x) / float(gammas[j])
         sum_log_lam = float(np.log(lam).sum())
@@ -485,14 +544,31 @@ _IDENTITY_CASES = [
 ]
 
 
+# 1100 iterations cross the end of the first block of variates
+_IDENTITY_CHAINS = pytest.mark.parametrize(
+    "kind,n,chain_index,thin,iterations",
+    [
+        (kind, n, chain_index, thin, iterations)
+        for kind, n in _IDENTITY_CASES
+        for chain_index in (1, 0)
+        for thin in (5, 1)
+        for iterations in (600, 1100)
+    ],
+)
+
+# The most ulps by which a beta of run_chain and of the lambda form may
+# differ.  At n = 50 and 500 each beta' mixes a share of its beta with the
+# data, so rounding gaps shrink as they pass on: 6 ulp is the most seen here.
+# At n = 1, while beta << x, beta' is about beta G/g whatever x is, so a gap
+# passes on whole and the gaps add up as a random walk: 20 ulp is the most
+# seen here, 65 after 5,000 iterations.
+_LAMBDA_FORM_MAX_ULP = {1: 32, 50: 16, 500: 16}
+
+
 class TestBufferedKernelIdentity:
     """run_chain's in-place kernel gives the allocating loop's bits exactly."""
 
-    # 1100 iterations cross the end of the first block of variates
-    @pytest.mark.parametrize("iterations", [600, 1100])
-    @pytest.mark.parametrize("thin", [5, 1])
-    @pytest.mark.parametrize("chain_index", [1, 0])
-    @pytest.mark.parametrize("kind,n", _IDENTITY_CASES)
+    @_IDENTITY_CHAINS
     def test_matches_allocating_loop_bitwise(self, kind, n, chain_index, thin, iterations):
         d = _data(n, seed=n)
         cfg = McmcConfig(iterations=iterations, burn_in=100, thin=thin, seed=2718)
@@ -511,6 +587,27 @@ class TestBufferedKernelIdentity:
         assert c.accepted == accepted
         assert c.alpha.tobytes() == alpha.tobytes()
         assert c.beta.tobytes() == beta.tobytes()
+
+    @_IDENTITY_CHAINS
+    def test_is_the_lambda_form_chain(self, kind, n, chain_index, thin, iterations):
+        # the same variates in the same order: the same alphas and accepts,
+        # and betas that differ only in rounding
+        d = _data(n, seed=n)
+        cfg = McmcConfig(iterations=iterations, burn_in=100, thin=thin, seed=2718)
+        c = run_chain(d, kind, cfg, chain_index=chain_index)
+        alpha, beta, accepted = _lambda_form_chain(d, kind, cfg, chain_index)
+        assert c.accepted == accepted
+        assert c.alpha.tobytes() == alpha.tobytes()
+        np.testing.assert_array_max_ulp(c.beta, beta, _LAMBDA_FORM_MAX_ULP[n])
+
+    def test_is_the_lambda_form_chain_across_blocks(self):
+        d = _data(50, seed=50)
+        cfg = McmcConfig(iterations=2100, burn_in=100, thin=5, seed=2718)
+        c = run_chain(d, PriorKind.JEFFREYS_DEPENDENT, cfg)
+        alpha, beta, accepted = _lambda_form_chain(d, PriorKind.JEFFREYS_DEPENDENT, cfg)
+        assert c.accepted == accepted
+        assert c.alpha.tobytes() == alpha.tobytes()
+        np.testing.assert_array_max_ulp(c.beta, beta, _LAMBDA_FORM_MAX_ULP[50])
 
     def test_one_pair_of_buffers_per_chain(self, monkeypatch):
         buffers = []
