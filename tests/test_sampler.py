@@ -441,25 +441,26 @@ def _assert_chains_equal_run_chain(cs, d, kind, cfg):
             assert getattr(c, field).tobytes() == getattr(ref, field).tobytes()
 
 
-def _block_variates(rng, n, block):
-    # 1024 Gamma(n) variates, then 1024 normals, then 1024 log(1 - uniform)
-    return rng.gamma(n, 1.0, block), rng.normal(0.0, 1.0, block), np.log1p(-rng.random(block))
-
-
-def _allocating_chain(d, kind, cfg, chain_index=0):
-    """The Gibbs loop on u = lambda/beta in its allocating form: fresh arrays
-    every iteration, and every term of the shape's log ratio computed
-    afresh at every step.
+def _allocating_chain(d, kind, cfg, chain_index=0, lambda_form=False):
+    """The Gibbs loop in its allocating form: fresh arrays every iteration,
+    and every term of the shape's log ratio computed afresh at every step.
 
     At iterations 0, 1024, 2048, ... it draws 1024 Gamma(n) variates, then
     1024 normals, then 1024 uniforms, all from the chain's generator; each
     iteration takes its scale divisor, proposal increment and acceptance
     uniform from them and draws only its latents from the generator.  The
-    latents over beta are standard gammas over the rate beta + x, the new
-    beta is beta times their sum against x over the Gamma(n) variate, and
-    sum(log lambda) is n log beta + sum(log u), summed as a dot product
-    with ones.  The shape proposal is a normal step of sd 1.5/sqrt(n) on
-    log alpha, whose Hastings term is log(proposal) - log(alpha)."""
+    latents over beta, u = lambda/beta, are standard gammas over the rate
+    beta + x, the new beta is beta times their sum against x over the
+    Gamma(n) variate, and sum(log lambda) is n log beta + sum(log u), summed
+    as a dot product with ones.  The shape proposal is a normal step of sd
+    1.5/sqrt(n) on log alpha, whose Hastings term is log(proposal) -
+    log(alpha).
+
+    With ``lambda_form`` it holds the latents themselves, drawn as
+    rng.gamma(alpha + 1, 1/(1 + x/beta)), with beta = sum(lambda x) over the
+    Gamma(n) variate and sum(log lambda) as numpy's pairwise sum: the form
+    the sampler had before it held u.  It takes the same variates in the
+    same order, so only the rounding of beta differs."""
     block = 1024
 
     def log_conditional(a, sum_log_lam):
@@ -474,51 +475,17 @@ def _allocating_chain(d, kind, cfg, chain_index=0):
     for it in range(cfg.iterations):
         j = it % block
         if j == 0:
-            gammas, increments, log_us = _block_variates(rng, d.n, block)
-        u = rng.standard_gamma(alpha + 1.0, d.n) / (beta + d.x)
-        sum_log_lam = d.n * math.log(beta) + float(np.log(u) @ np.ones(d.n))
-        beta = beta * float(u @ d.x) / float(gammas[j])
-        proposal = alpha * math.exp(sd * float(increments[j]))
-        log_ratio = (
-            log_conditional(proposal, sum_log_lam)
-            - log_conditional(alpha, sum_log_lam)
-            + (math.log(proposal) - math.log(alpha))
-        )
-        acc = float(log_us[j]) <= log_ratio
-        if acc:
-            alpha = proposal
-        accepted += acc
-        if it >= cfg.burn_in and (it - cfg.burn_in + 1) % cfg.thin == 0:
-            alphas.append(alpha)
-            betas.append(beta)
-    return np.array(alphas), np.array(betas), accepted
-
-
-def _lambda_form_chain(d, kind, cfg, chain_index=0):
-    """The same chain in the form the sampler had before it held u =
-    lambda/beta: the latents themselves, Gamma(alpha + 1, rate 1 + x/beta),
-    drawn as rng.gamma with scale 1/(1 + x/beta), beta as sum(lambda x) over
-    the Gamma(n) variate and sum(log lambda) as numpy's pairwise sum.  It
-    takes the same variates in the same order, so only the rounding of
-    beta differs."""
-    block = 1024
-
-    def log_conditional(a, sum_log_lam):
-        return -d.n * math.lgamma(a) + (a - 1.0) * sum_log_lam + log_prior_alpha(kind, a)
-
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(cfg.chains)[chain_index])
-    alpha = float(rng.gamma(1.0))
-    beta = float(rng.gamma(1.0))
-    sd = 1.5 / math.sqrt(d.n)
-    alphas, betas = [], []
-    accepted = 0
-    for it in range(cfg.iterations):
-        j = it % block
-        if j == 0:
-            gammas, increments, log_us = _block_variates(rng, d.n, block)
-        lam = rng.gamma(alpha + 1.0, 1.0 / (1.0 + d.x / beta))
-        beta = float(lam @ d.x) / float(gammas[j])
-        sum_log_lam = float(np.log(lam).sum())
+            gammas = rng.gamma(d.n, 1.0, block)
+            increments = rng.normal(0.0, 1.0, block)
+            log_us = np.log1p(-rng.random(block))
+        if lambda_form:
+            lam = rng.gamma(alpha + 1.0, 1.0 / (1.0 + d.x / beta))
+            sum_log_lam = float(np.log(lam).sum())
+            beta = float(lam @ d.x) / float(gammas[j])
+        else:
+            u = rng.standard_gamma(alpha + 1.0, d.n) / (beta + d.x)
+            sum_log_lam = d.n * math.log(beta) + float(np.log(u) @ np.ones(d.n))
+            beta = beta * float(u @ d.x) / float(gammas[j])
         proposal = alpha * math.exp(sd * float(increments[j]))
         log_ratio = (
             log_conditional(proposal, sum_log_lam)
@@ -595,7 +562,7 @@ class TestBufferedKernelIdentity:
         d = _data(n, seed=n)
         cfg = McmcConfig(iterations=iterations, burn_in=100, thin=thin, seed=2718)
         c = run_chain(d, kind, cfg, chain_index=chain_index)
-        alpha, beta, accepted = _lambda_form_chain(d, kind, cfg, chain_index)
+        alpha, beta, accepted = _allocating_chain(d, kind, cfg, chain_index, lambda_form=True)
         assert c.accepted == accepted
         assert c.alpha.tobytes() == alpha.tobytes()
         np.testing.assert_array_max_ulp(c.beta, beta, _LAMBDA_FORM_MAX_ULP[n])
@@ -604,7 +571,9 @@ class TestBufferedKernelIdentity:
         d = _data(50, seed=50)
         cfg = McmcConfig(iterations=2100, burn_in=100, thin=5, seed=2718)
         c = run_chain(d, PriorKind.JEFFREYS_DEPENDENT, cfg)
-        alpha, beta, accepted = _lambda_form_chain(d, PriorKind.JEFFREYS_DEPENDENT, cfg)
+        alpha, beta, accepted = _allocating_chain(
+            d, PriorKind.JEFFREYS_DEPENDENT, cfg, lambda_form=True
+        )
         assert c.accepted == accepted
         assert c.alpha.tobytes() == alpha.tobytes()
         np.testing.assert_array_max_ulp(c.beta, beta, _LAMBDA_FORM_MAX_ULP[50])
