@@ -20,7 +20,7 @@ study = StudyConfig(
 )
 
 t0 = time.perf_counter()
-report = run_study(study, n_jobs=2)
+report = run_study(study)
 print(f"study finished in {time.perf_counter() - t0:.1f}s "
       f"({study.replications} replications x {len(study.sample_sizes)} sizes)\n")
 print(report.table())

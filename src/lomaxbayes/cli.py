@@ -200,7 +200,7 @@ def cmd_simulate(args) -> int:
         mcmc=_mcmc_config(args),
         seed=args.seed,
     )
-    report = run_study(study, n_jobs=args.jobs, progress=not args.quiet)
+    report = run_study(study, progress=not args.quiet)
 
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "simulation.csv", "w", encoding="utf-8", newline="") as fh:
@@ -227,9 +227,9 @@ def _add_mcmc_flags(p, defaults: McmcConfig):
     p.add_argument("--thin", type=int, default=defaults.thin, help="keep every thin-th draw")
     p.add_argument(
         "--chains", type=int, default=defaults.chains,
-        help="number of chains; with more than one usable CPU and "
-        f"--iters >= {_FORK_MIN_ITERATIONS} they run in forked processes, "
-        "up to one per CPU, else one after another",
+        help=f"number of chains; with --iters >= {_FORK_MIN_ITERATIONS} they run in "
+        "forked processes, up to one per usable CPU, but one after another in "
+        "simulate's worker processes",
     )
     p.add_argument("--seed", type=int, default=defaults.seed, help="non-negative master seed")
     p.add_argument(
@@ -269,9 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sim.add_argument("--beta", type=float, default=2.0, help="true scale")
     sim.add_argument("--alpha", type=float, default=1.5, help="true shape")
-    sim.add_argument(
-        "--jobs", type=int, default=1, help="worker processes, at most one per usable CPU"
-    )
     sim.add_argument("--quiet", action="store_true", help="suppress progress lines")
     _add_mcmc_flags(sim, StudyConfig.mcmc)
     sim.set_defaults(func=cmd_simulate)

@@ -102,15 +102,8 @@ __all__ = [
 
 # Fewest iterations per chain at which run_chains forks worker processes: a
 # fork costs 15-30 ms and each forked chain's result is pickled back, so
-# short chains run faster one after another.  Forked / serial speed-up,
-# 2 chains, dependent Jeffreys, burn-in 10%, 2-core VM, median of 7
-# interleaved runs (the middle of three such medians):
-#
-#       iterations   250    500    1000   2000   4000
-#       n = 50       0.45   0.66   0.94   1.20   1.26
-#       n = 500      0.70   1.02   1.28   1.46   1.53
-#
-# A larger n only lowers the crossover.
+# short chains run faster one after another.  The README's fork section
+# gives the measured crossover; a larger n only lowers it.
 _FORK_MIN_ITERATIONS = 2000
 
 # Iterations whose scalar variates run_chain draws in one call each
@@ -314,6 +307,24 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _fork_width(k: int) -> int:
+    """Processes that may run k independent tasks from this one: min(k, usable
+    CPUs), but 1 in a pool's worker, with another live thread (a fork copies
+    no thread but every lock one may hold) or without ``fork``."""
+    if (
+        multiprocessing.parent_process() is not None
+        or threading.active_count() > 1
+        or "fork" not in multiprocessing.get_all_start_methods()
+    ):
+        return 1
+    return min(k, _usable_cpus())
+
+
+def _fork_pool(workers: int) -> ProcessPoolExecutor:
+    """A pool of ``workers`` forked processes, to be shut down by a ``with`` block."""
+    return ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+
+
 def _chain_task(d: Dataset, kind: PriorKind, cfg: McmcConfig, chain_index: int) -> Chain:
     # A pool pickles its task by name, and run_chain may have been replaced
     # by a wrapper (a tracer, a test's patch) that cannot be pickled.
@@ -323,27 +334,18 @@ def _chain_task(d: Dataset, kind: PriorKind, cfg: McmcConfig, chain_index: int) 
 def run_chains(d: Dataset, kind: PriorKind, cfg: McmcConfig) -> tuple[Chain, ...]:
     """Run ``cfg.chains`` independent chains and return them in chain-index order.
 
-    With w = min(chains, usable CPUs) > 1 and at least
-    ``_FORK_MIN_ITERATIONS`` iterations per chain, w - 1 forked worker
-    processes run the chains with ``i % w != 0`` while the caller runs the
-    others.  Otherwise, and in a worker process or a process with other
-    threads, the chains run one after another.  Each chain owns its
-    generator, so the output is the same either way, and an error is the
-    one a serial run raises first.
+    With at least ``_FORK_MIN_ITERATIONS`` iterations per chain and w =
+    ``_fork_width(chains)`` > 1, w - 1 forked worker processes run the
+    chains with ``i % w != 0`` while the caller runs the others; otherwise
+    the chains run one after another.  Each chain owns its generator, so
+    the output is the same either way, and an error is the one a serial
+    run raises first.
     """
     check_propriety(kind, d.n, d.zeros)
     indices = range(cfg.chains)
-    w = min(cfg.chains, _usable_cpus())
-    if (
-        w < 2
-        or cfg.iterations < _FORK_MIN_ITERATIONS
-        # a pool's worker (run_study's) runs its chains itself
-        or multiprocessing.parent_process() is not None
-        # a fork copies no thread but every lock another thread may hold
-        or threading.active_count() > 1
-        or "fork" not in multiprocessing.get_all_start_methods()
-    ):
+    w = _fork_width(cfg.chains) if cfg.iterations >= _FORK_MIN_ITERATIONS else 1
+    if w < 2:
         return tuple(run_chain(d, kind, cfg, i) for i in indices)
-    with ProcessPoolExecutor(max_workers=w - 1, mp_context=multiprocessing.get_context("fork")) as pool:
+    with _fork_pool(w - 1) as pool:
         forked = {i: pool.submit(_chain_task, d, kind, cfg, i) for i in indices if i % w}
         return tuple(forked[i].result() if i in forked else run_chain(d, kind, cfg, i) for i in indices)

@@ -15,7 +15,6 @@ seeds depend on (seed, n, j) only, so all priors see the same data.
 from __future__ import annotations
 
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from functools import partial
@@ -212,32 +211,33 @@ def run_study(
     cfg: StudyConfig,
     *,
     fit_fn=None,
-    n_jobs: int = 1,
+    n_jobs: int | None = None,
     progress: bool = False,
 ) -> SimReport:
     """Run the full study and aggregate a :class:`SimReport`.
 
     ``fit_fn(dataset, kind, mcmc) -> ReplicateFit`` replaces the Gibbs
     fit when given (stubs for harness tests); custom fit functions run
-    serially.  Otherwise w = min(n_jobs, usable CPUs, replicates) worker
-    processes fit the replicates when w > 1, and the caller fits them when
-    w = 1.  Either way the results are taken in (prior, n, j) order, and
-    the first failed replicate ends the study: the replicates not yet
-    started are cancelled.
+    serially.  Otherwise w = ``sampler._fork_width(k)`` forked workers fit
+    the replicates when w > 1, for k replicates capped at ``n_jobs`` if
+    given, and the caller fits them when w = 1.  Either way the results
+    are taken in (prior, n, j) order, and the first failed replicate ends
+    the study: the replicates not yet started are cancelled.
     """
-    if n_jobs < 1:
-        raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
+    if n_jobs is not None:
+        _check_integer("n_jobs", n_jobs)
+        if n_jobs < 1:
+            raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
     m = cfg.replications
     cells = [(kind, n) for kind in cfg.priors for n in cfg.sample_sizes]
     keys = [(kind, n, j) for kind, n in cells for j in range(m)]
-    w = min(n_jobs, sampler._usable_cpus(), len(keys))
-    use_pool = fit_fn is None and w > 1
+    w = 1 if fit_fn is not None else sampler._fork_width(min(len(keys), n_jobs or len(keys)))
     fit = partial(_fit_one, cfg, fit_fn or fit_replicate)
 
     fits: list[ReplicateFit] = []
-    with ProcessPoolExecutor(max_workers=w) if use_pool else nullcontext() as pool:
+    with sampler._fork_pool(w) if w > 1 else nullcontext() as pool:
         # Executor.map cancels the calls not yet started once a result raises
-        results = pool.map(fit, keys) if use_pool else map(fit, keys)
+        results = pool.map(fit, keys) if w > 1 else map(fit, keys)
         for kind, n, j in keys:
             try:
                 fits.append(next(results))

@@ -454,14 +454,14 @@ class TestSimulateCommand:
         assert len(lines) == 1 + 2  # one (prior, n) cell, two parameters
         assert "rmse" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("jobs", ["1", "2"])
-    def test_failed_replicate_exits_1_without_traceback(self, tmp_path, monkeypatch, capsys, jobs):
-        # with --jobs 2 the error comes back from a pool worker with a remote traceback
-        monkeypatch.setattr(sampler, "_usable_cpus", lambda: 2)
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_failed_replicate_exits_1_without_traceback(self, tmp_path, monkeypatch, capsys, cpus):
+        # on 2 CPUs the error comes back from a pool worker with a remote traceback
+        monkeypatch.setattr(sampler, "_usable_cpus", lambda: cpus)
         # beta = 1e300 overflows the sampled data to inf, which Dataset rejects
         flags = ["--beta", "1e300", "--alpha", "0.1", "--sizes", "50", "--replications", "2",
                  "--prior", "jeffreys", "--iters", "300", "--burnin", "100", "--thin", "2",
-                 "--jobs", jobs, "--quiet", "--out", str(tmp_path / "sim")]
+                 "--quiet", "--out", str(tmp_path / "sim")]
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             assert main(["simulate"] + flags) == EXIT_USAGE
@@ -470,11 +470,11 @@ class TestSimulateCommand:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("quiet", [False, True])
-    @pytest.mark.parametrize("jobs", ["1", "2"])
-    def test_progress_lines(self, tmp_path, monkeypatch, capsys, jobs, quiet):
-        monkeypatch.setattr(sampler, "_usable_cpus", lambda: 2)
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_progress_lines(self, tmp_path, monkeypatch, capsys, cpus, quiet):
+        monkeypatch.setattr(sampler, "_usable_cpus", lambda: cpus)
         flags = [f for f in SIM_FLAGS if f != "--quiet"] + ["--quiet"] * quiet
-        flags += ["--replications", "12", "--jobs", jobs, "--out", str(tmp_path)]
+        flags += ["--replications", "12", "--out", str(tmp_path)]
         assert main(["simulate"] + flags) == EXIT_OK
         expected = [] if quiet else [
             "[simulate] prior=reference n=6: replicate 10/12",
@@ -482,9 +482,15 @@ class TestSimulateCommand:
         ]
         assert capsys.readouterr().err.splitlines() == expected
 
+    @pytest.mark.parametrize("jobs", ["0", "-3", "2"])
+    def test_jobs_is_not_a_flag(self, tmp_path, capsys, jobs):
+        # the replicates fan out over the usable CPUs, which taskset limits
+        out = tmp_path / "sim"
+        assert main(["simulate"] + SIM_FLAGS + ["--jobs", jobs, "--out", str(out)]) == EXIT_USAGE
+        assert f"error: unrecognized arguments: --jobs {jobs}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("flags", [
-        ["--jobs", "0"],
-        ["--jobs", "-3"],
         ["--iters", "2", "--burnin", "1", "--thin", "1"],  # one retained draw
         ["--seed", "-1"],
         ["--sizes", "50", "50"],  # would fit and write the n = 50 cell twice

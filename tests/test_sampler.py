@@ -411,6 +411,7 @@ class TestRunChains:
         w = min(chains, cpus)
         forks = w > 1 and iterations >= sampler._FORK_MIN_ITERATIONS and not in_worker
         assert process_pools == ([w - 1] if forks else [])
+        assert process_pools.methods == ["fork"] * len(process_pools)
         # with 3 chains on 2 CPUs the caller runs chains 0 and 2
         assert seen == [i for i in range(chains) if not forks or i % w == 0]
         _assert_chains_equal_run_chain(cs, d, PriorKind.REFERENCE, cfg)

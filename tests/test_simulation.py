@@ -1,6 +1,7 @@
 """Monte Carlo harness: bias/rmse formulas, aggregation and determinism."""
 
 import io
+import threading
 import time
 
 import numpy as np
@@ -199,6 +200,17 @@ class TestRunStudyHarness:
         with pytest.raises(ValueError, match="n_jobs"):
             run_study(cfg, n_jobs=n_jobs)
 
+    @pytest.mark.parametrize("n_jobs", [1.5, 2.0])
+    def test_rejects_a_non_integer_job_count_before_any_fit(self, n_jobs):
+        fitted = []
+        cfg = StudyConfig(
+            true_params=TRUTH, sample_sizes=(5,), replications=1,
+            priors=(PriorKind.REFERENCE,), mcmc=FAST_MCMC, seed=1,
+        )
+        with pytest.raises(TypeError, match="n_jobs must be an integer"):
+            run_study(cfg, fit_fn=lambda *args: fitted.append(args), n_jobs=n_jobs)
+        assert fitted == []
+
 
 class TestRunStudyEndToEnd:
     @staticmethod
@@ -224,30 +236,40 @@ class TestRunStudyEndToEnd:
         (64, 2, 3, [2]),  # capped by the usable CPUs
         (64, 8, 2, [2]),  # capped by the replicates
         (4, 1, 3, []),  # one worker: the caller fits every replicate
+        (None, 2, 3, [2]),  # no cap: as wide as the CPUs allow
+        (None, 8, 2, [2]),
+        (1, 2, 3, []),  # capped at one: the caller fits every replicate
     ])
     def test_workers_capped_by_cpus_and_replicates(
-        self, monkeypatch, n_jobs, cpus, replications, pools
+        self, monkeypatch, process_pools, n_jobs, cpus, replications, pools
     ):
-        seen = []
-
-        class SpyPool(simulation.ProcessPoolExecutor):
-            # records the request but starts at most 2 processes
-            def __init__(self, max_workers):
-                seen.append(max_workers)
-                super().__init__(max_workers=min(max_workers, 2))
-
-        monkeypatch.setattr(simulation, "ProcessPoolExecutor", SpyPool)
         monkeypatch.setattr(sampler, "_usable_cpus", lambda: cpus)
         cfg = StudyConfig(
             true_params=TRUTH, sample_sizes=(6,), replications=replications,
             priors=(PriorKind.REFERENCE,), mcmc=FAST_MCMC, seed=11,
         )
         report = run_study(cfg, n_jobs=n_jobs)
-        assert seen == pools
-        assert report.rows == run_study(cfg).rows
+        assert process_pools == pools
+        assert process_pools.methods == ["fork"] * len(pools)
+        assert report.rows == run_study(cfg, n_jobs=1).rows
+
+    def test_serial_while_another_thread_runs(self, monkeypatch, process_pools):
+        monkeypatch.setattr(sampler, "_usable_cpus", lambda: 2)
+        cfg = self._small_cfg()
+        release = threading.Event()
+        other = threading.Thread(target=release.wait, args=(60,))
+        other.start()
+        try:
+            report = run_study(cfg, n_jobs=2)
+        finally:
+            release.set()
+            other.join(timeout=60)
+        assert not other.is_alive()
+        assert process_pools == []
+        assert report.rows == run_study(cfg, n_jobs=1).rows
 
     def test_forked_chains_match_serial_workers(self, monkeypatch, process_pools):
-        # n_jobs=1 forks each replicate's chains; n_jobs=2 workers run theirs serially
+        # n_jobs=1 forks each replicate's chains; the 2 workers of n_jobs=2 run theirs serially
         monkeypatch.setattr(sampler, "_usable_cpus", lambda: 2)
         mcmc = McmcConfig(iterations=sampler._FORK_MIN_ITERATIONS, burn_in=500, thin=10, seed=5)
         cfg = StudyConfig(
@@ -259,7 +281,8 @@ class TestRunStudyEndToEnd:
             buf = io.StringIO()
             run_study(cfg, n_jobs=n_jobs).to_csv(buf)
             csvs.append(buf.getvalue())
-        assert process_pools == [1, 1]
+        assert process_pools == [1, 1, 2]
+        assert process_pools.methods == ["fork"] * 3
         assert csvs[0] == csvs[1]
 
     def test_rows_shape_and_jensen(self):
