@@ -41,10 +41,13 @@ def _check_positive_finite(name: str, value) -> None:
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
-def _check_integer(name: str, value) -> None:
-    # a float count such as 3000.0 would fail later, inside numpy or range()
+def _check_count(name: str, value, least: int = 1) -> int:
+    # the one count rule; a float such as 2.5 would be truncated or fail inside numpy or range()
     if not isinstance(value, numbers.Integral):
         raise TypeError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -147,10 +150,10 @@ def sample(p: LomaxParams, rng: np.random.Generator, n: int) -> Dataset:
 
     Uses x = beta * (u^(-1/alpha) - 1) with u ~ Uniform(0, 1], so the
     power never sees u = 0.  At u = 0.5 the draw is exactly the median.
+    n is a count: an integer >= 1 (a numpy integer too); 2.5 raises
+    ``TypeError`` rather than drawing 2.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    u = 1.0 - rng.random(int(n))  # in (0, 1]
+    u = 1.0 - rng.random(_check_count("n", n))  # in (0, 1]
     with np.errstate(over="ignore"):  # Dataset rejects the inf an overflow gives
         x = p.beta * np.expm1(-np.log(u) / p.alpha)
     return Dataset(x)
@@ -162,7 +165,6 @@ def sample_hierarchical(p: LomaxParams, rng: np.random.Generator, n: int) -> Dat
     lambda_i ~ Gamma(alpha, 1), then X_i | lambda_i is exponential with
     rate lambda_i/beta; marginally identical to :func:`sample`.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    lam = rng.gamma(p.alpha, 1.0, int(n))
-    return Dataset(rng.exponential(1.0, int(n)) * p.beta / lam)
+    n = _check_count("n", n)
+    lam = rng.gamma(p.alpha, 1.0, n)
+    return Dataset(rng.exponential(1.0, n) * p.beta / lam)

@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from .distribution import Dataset, LomaxParams
+from .distribution import Dataset, LomaxParams, _check_count
 
 __all__ = [
     "PriorKind",
@@ -51,10 +51,10 @@ class PriorKind(enum.Enum):
 def fisher_information(p: LomaxParams, n: int = 1) -> np.ndarray:
     """Fisher information n * [[a/(b^2(a+2)), -1/(b(a+1))], [., 1/a^2]] in (beta, alpha).
 
-    A symmetric float64 (2, 2) array.
+    A symmetric float64 (2, 2) array.  n is a count of observations: an
+    integer >= 1 (a numpy integer too); 2.5 raises ``TypeError``.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = _check_count("n", n)
     b, a = p.beta, p.alpha
     i12 = -n / (b * (a + 1.0))
     return np.array([[n * a / (b * b * (a + 2.0)), i12], [i12, n / (a * a)]])
@@ -66,8 +66,7 @@ def fisher_inverse(p: LomaxParams, n: int = 1) -> np.ndarray:
     (1/n) * [[b^2(a+2)(a+1)^2/a, b a (a+2)(a+1)], [., a^2(a+1)^2]]; the
     product with the information matrix is the identity exactly.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = _check_count("n", n)
     b, a = p.beta, p.alpha
     i11 = b * b * (a + 2.0) * (a + 1.0) ** 2 / (a * n)
     i12 = b * a * (a + 2.0) * (a + 1.0) / n

@@ -87,7 +87,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distribution import Dataset, _check_integer
+from .distribution import Dataset, _check_count
 from .priors import PriorKind, check_propriety, log_prior_alpha
 
 __all__ = [
@@ -122,6 +122,12 @@ class McmcConfig:
     Defaults follow the simulation-study protocol (11,000 iterations,
     burn-in 1,000, thinning 10, two chains).  The shape step's proposal
     scale is not set here: ``run_chain`` derives it from n.
+
+    Every field is a count: an integer (a numpy integer too) no smaller
+    than 1, or than 0 for ``burn_in`` and ``seed``.  A float such as
+    3000.0 raises ``TypeError`` and a count below its least value
+    ``ValueError``, each naming the field.  Beyond that, ``burn_in <
+    iterations`` and each chain keeps at least 2 draws.
     """
 
     iterations: int = 11000
@@ -131,18 +137,11 @@ class McmcConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("iterations", "burn_in", "thin", "chains", "seed"):
-            _check_integer(name, getattr(self, name))
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
-        if not 0 <= self.burn_in < self.iterations:
+        # seed >= 0: SeedSequence takes non-negative integers only
+        for name, least in dict(iterations=1, burn_in=0, thin=1, chains=1, seed=0).items():
+            object.__setattr__(self, name, _check_count(name, getattr(self, name), least))
+        if self.burn_in >= self.iterations:
             raise ValueError("burn_in must satisfy 0 <= burn_in < iterations")
-        if self.thin < 1:
-            raise ValueError("thin must be >= 1")
-        if self.chains < 1:
-            raise ValueError("chains must be >= 1")
-        if self.seed < 0:  # SeedSequence takes non-negative integers only
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.retained < 2:  # summaries and the PSRF need 2 draws per chain
             raise ValueError(f"need >= 2 retained draws per chain, got {self.retained}")
 

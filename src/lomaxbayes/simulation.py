@@ -15,6 +15,7 @@ seeds depend on (seed, n, j) only, so all priors see the same data.
 from __future__ import annotations
 
 import sys
+from collections.abc import Iterable
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from functools import partial
@@ -22,7 +23,7 @@ from functools import partial
 import numpy as np
 
 from .diagnostics import SummaryStats, acceptance_rate, gelman_rubin, summarize
-from .distribution import Dataset, LomaxParams, _check_integer, sample
+from .distribution import Dataset, LomaxParams, _check_count, sample
 from .priors import PriorKind, check_propriety
 from . import sampler
 from .sampler import Chain, McmcConfig, run_chains
@@ -50,6 +51,10 @@ class StudyConfig:
 
     ``mcmc.seed`` is ignored: each replicate's chains get a master seed
     derived from ``seed``, the prior, n and the replicate index.
+
+    ``replications``, ``seed`` and each sample size are counts as in
+    :class:`McmcConfig`: integers >= 1 (>= 0 for ``seed``).  ``sample_sizes``
+    and ``priors`` are each a non-empty sequence of distinct items.
     """
 
     true_params: LomaxParams
@@ -63,31 +68,27 @@ class StudyConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for n in self.sample_sizes:
-            _check_integer("sample_sizes", n)
-        _check_integer("replications", self.replications)
-        _check_integer("seed", self.seed)
-        object.__setattr__(self, "sample_sizes", tuple(int(n) for n in self.sample_sizes))
-        if isinstance(self.priors, (PriorKind, str)):
-            raise TypeError(f"priors must be a sequence of PriorKind, got {self.priors!r}")
-        object.__setattr__(self, "priors", tuple(self.priors))
-        if self.replications < 1:
-            raise ValueError("replications must be >= 1")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if not self.sample_sizes:
-            raise ValueError("need at least one sample size")
-        if not self.priors:
-            raise ValueError("need at least one prior kind")
-        if min(self.sample_sizes) < 1:  # not a dataset, so not a propriety question
-            raise ValueError(f"sample sizes must be >= 1, got {min(self.sample_sizes)}")
+        sizes = _design_axis("sample_sizes", self.sample_sizes, "integers", _check_count)
+        object.__setattr__(self, "sample_sizes", sizes)
+        object.__setattr__(self, "priors", _design_axis("priors", self.priors, "PriorKind"))
+        object.__setattr__(self, "replications", _check_count("replications", self.replications))
+        object.__setattr__(self, "seed", _check_count("seed", self.seed, least=0))
+        # a size below 1 is no dataset, so it was refused above, not as improper
         for kind in self.priors:
             check_propriety(kind, min(self.sample_sizes))
-        # a repeated cell would fit every replicate and write its rows again
-        if len(set(self.sample_sizes)) < len(self.sample_sizes):
-            raise ValueError(f"sample sizes must be distinct, got {self.sample_sizes}")
-        if len(set(self.priors)) < len(self.priors):
-            raise ValueError(f"priors must be distinct, got {tuple(k.value for k in self.priors)}")
+
+
+def _design_axis(name: str, values, of: str, check=lambda name, value: value) -> tuple:
+    """One axis of the study grid: a non-empty sequence of distinct items, each ``check``-ed."""
+    if isinstance(values, str) or not isinstance(values, Iterable):
+        raise TypeError(f"{name} must be a sequence of {of}, got {values!r}")
+    items = tuple(check(name, v) for v in values)
+    if not items:
+        raise ValueError(f"{name} must be non-empty")
+    # a repeated cell would fit every replicate and write its rows again
+    if len(set(items)) < len(items):
+        raise ValueError(f"{name} must be distinct, got {items}")
+    return items
 
 
 @dataclass(frozen=True)
@@ -225,9 +226,7 @@ def run_study(
     the study: the replicates not yet started are cancelled.
     """
     if n_jobs is not None:
-        _check_integer("n_jobs", n_jobs)
-        if n_jobs < 1:
-            raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
+        n_jobs = _check_count("n_jobs", n_jobs)
     m = cfg.replications
     cells = [(kind, n) for kind in cfg.priors for n in cfg.sample_sizes]
     keys = [(kind, n, j) for kind, n in cells for j in range(m)]

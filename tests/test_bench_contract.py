@@ -11,8 +11,11 @@ non-finite float ``NaN`` or ``Infinity``; a strict JSON reader refuses both.
 
 import json
 import math
+import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -24,16 +27,40 @@ def _refuse(constant):
     raise ValueError(f"the result line holds {constant}, which is not JSON")
 
 
+def _reap_session(sid: int, grace_s: float = 5.0) -> None:
+    """Fail unless every process of session ``sid`` is gone within ``grace_s``; kill any left."""
+    deadline = time.monotonic() + grace_s
+    while True:
+        try:
+            os.killpg(sid, 0)
+        except ProcessLookupError:
+            return
+        if time.monotonic() > deadline:
+            os.killpg(sid, signal.SIGKILL)
+            pytest.fail(f"a process of run.py's session {sid} outlived run.py by {grace_s} s")
+        time.sleep(0.05)
+
+
 # a fit through the CLI and the study through run_study, at a seed other
 # than the one the CI step runs
 @pytest.mark.parametrize("workload", ["fit-n500", "study-n50"])
-def test_traced_run_reports_every_per_layer_metric_as_finite(workload):
+def test_traced_run_reports_every_per_layer_metric_as_finite(workload, tmp_path):
     argv = [sys.executable, "perfbench/run.py", "--workload", workload,
             "--seed", "2", "--seconds", "1", "--trace", "1"]
-    done = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True, timeout=600)
-    assert done.returncode == 0, done.stderr
-    last = json.loads(done.stdout.splitlines()[-1], parse_constant=_refuse)
-    assert last["correct"] is True, done.stdout
+    # run.py leads a session of its own, so a process it leaves behind (one
+    # that could print after the result line) is found by its group; the
+    # output goes to files, which such a process cannot hold open against us
+    out, err = tmp_path / "stdout", tmp_path / "stderr"
+    with open(out, "w") as fout, open(err, "w") as ferr:
+        proc = subprocess.Popen(argv, cwd=ROOT, stdout=fout, stderr=ferr, start_new_session=True)
+        try:
+            returncode = proc.wait(timeout=600)
+        finally:
+            _reap_session(proc.pid)
+    stdout = out.read_text()
+    assert returncode == 0, err.read_text()
+    last = json.loads(stdout.splitlines()[-1], parse_constant=_refuse)
+    assert last["correct"] is True, stdout
 
     declared = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]]
     metrics = last["metrics"]

@@ -202,8 +202,12 @@ class TestInverseCdfSampler:
         np.testing.assert_array_equal(d1.x, d2.x)
 
     def test_rejects_zero_n(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^n must be >= 1, got 0$"):
             sample(LomaxParams(1, 1), np.random.default_rng(0), 0)
+        # 2.5 once drew 2 observations; a numpy integer is a count
+        with pytest.raises(TypeError, match="^n must be an integer, got 2.5$"):
+            sample(LomaxParams(1, 1), np.random.default_rng(0), 2.5)
+        assert sample(LomaxParams(1, 1), np.random.default_rng(0), np.int64(2)).n == 2
 
     def test_sample_mean_within_three_se(self):
         p = LomaxParams(beta=2.0, alpha=3.0)
@@ -241,8 +245,12 @@ class TestHierarchicalSampler:
         assert abs(d.x.mean() - 0.5) < 3 * se
 
     def test_rejects_zero_n(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^n must be >= 1, got 0$"):
             sample_hierarchical(LomaxParams(1, 1), np.random.default_rng(0), 0)
+        # 3.9 once drew 3 observations; a numpy integer is a count
+        with pytest.raises(TypeError, match="^n must be an integer, got 3.9$"):
+            sample_hierarchical(LomaxParams(1, 1), np.random.default_rng(0), 3.9)
+        assert sample_hierarchical(LomaxParams(1, 1), np.random.default_rng(0), np.int32(3)).n == 3
 
     def test_matches_inverse_cdf_sampler_by_ks(self):
         p = LomaxParams(beta=2.0, alpha=1.5)

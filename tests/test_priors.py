@@ -77,6 +77,10 @@ class TestFisherInformation:
     def test_rejects_nonpositive_n(self, f):
         with pytest.raises(ValueError, match="n must be >= 1"):
             f(LomaxParams(1, 1), 0)
+        # not the information of 2.5 observations; a numpy integer is a count
+        with pytest.raises(TypeError, match="^n must be an integer, got 2.5$"):
+            f(LomaxParams(1, 1), 2.5)
+        np.testing.assert_array_equal(f(LomaxParams(1, 1), np.int64(3)), f(LomaxParams(1, 1), 3))
 
 
 class TestFisherInverse:

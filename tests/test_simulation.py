@@ -81,7 +81,7 @@ class TestStudyConfig:
             StudyConfig(true_params=TRUTH, sample_sizes=(1,))
         # a size below 1 is no dataset: a usage error, raised before the propriety check
         for sizes in ((0,), (-5,), (3, -5)):
-            with pytest.raises(ValueError, match=f"sample sizes must be >= 1, got {min(sizes)}") as info:
+            with pytest.raises(ValueError, match=f"sample_sizes must be >= 1, got {min(sizes)}") as info:
                 StudyConfig(true_params=TRUTH, sample_sizes=sizes)
             assert not isinstance(info.value, ImproperPosteriorError)
         with pytest.raises(ValueError):
@@ -89,7 +89,7 @@ class TestStudyConfig:
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
             StudyConfig(true_params=TRUTH, seed=-1)
         # a repeated cell would fit every replicate and write its rows again
-        with pytest.raises(ValueError, match=r"sample sizes must be distinct, got \(5, 5\)"):
+        with pytest.raises(ValueError, match=r"sample_sizes must be distinct, got \(5, 5\)"):
             StudyConfig(true_params=TRUTH, sample_sizes=(5, 5))
         with pytest.raises(ValueError, match="priors must be distinct"):
             StudyConfig(true_params=TRUTH, priors=(PriorKind.REFERENCE, PriorKind.REFERENCE))
@@ -104,10 +104,15 @@ class TestStudyConfig:
         with pytest.raises(TypeError, match=f"^{name} must be an integer"):
             StudyConfig(true_params=TRUTH, **kwargs)
 
-    @pytest.mark.parametrize("priors", [PriorKind.REFERENCE, "reference"])
-    def test_priors_must_be_a_sequence(self, priors):
-        with pytest.raises(TypeError, match="priors must be a sequence of PriorKind"):
-            StudyConfig(true_params=TRUTH, priors=priors)
+    @pytest.mark.parametrize("name,kwargs,of", [
+        ("priors", dict(priors=PriorKind.REFERENCE), "PriorKind"),
+        ("priors", dict(priors="reference"), "PriorKind"),
+        # once failed with "'int' object is not iterable"
+        ("sample_sizes", dict(sample_sizes=50), "integers"),
+    ], ids=["kind", "label", "count"])
+    def test_axes_must_be_sequences(self, name, kwargs, of):
+        with pytest.raises(TypeError, match=f"^{name} must be a sequence of {of}"):
+            StudyConfig(true_params=TRUTH, **kwargs)
 
     def test_jeffreys_study_runs_from_n_1(self):
         # n + nu > 0 with nu = -1/2: the one propriety rule admits n = 1 here
