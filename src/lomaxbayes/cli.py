@@ -26,7 +26,7 @@ import numpy as np
 
 from .distribution import Dataset, LomaxParams
 from .priors import ImproperPosteriorError, PriorKind
-from .sampler import _FORK_MIN_ITERATIONS, Chain, DegenerateDataError, McmcConfig, run_chains
+from .sampler import Chain, DegenerateDataError, McmcConfig, run_chains
 from .simulation import ReplicateFit, StudyConfig, run_study, summarize_chains
 
 __all__ = ["DataFormatError", "parse_dataset", "cmd_fit", "cmd_simulate", "main"]
@@ -227,9 +227,8 @@ def _add_mcmc_flags(p, defaults: McmcConfig):
     p.add_argument("--thin", type=int, default=defaults.thin, help="keep every thin-th draw")
     p.add_argument(
         "--chains", type=int, default=defaults.chains,
-        help=f"number of chains; with --iters >= {_FORK_MIN_ITERATIONS} they run in "
-        "forked processes, up to one per usable CPU, but one after another in "
-        "simulate's worker processes",
+        help="number of chains; they run in forked processes, up to one per usable "
+        "CPU, but one after another in simulate's worker processes",
     )
     p.add_argument("--seed", type=int, default=defaults.seed, help="non-negative master seed")
     p.add_argument(

@@ -42,8 +42,9 @@ def _check_positive_finite(name: str, value) -> None:
 
 
 def _check_count(name: str, value, least: int = 1) -> int:
-    # the one count rule; a float such as 2.5 would be truncated or fail inside numpy or range()
-    if not isinstance(value, numbers.Integral):
+    # the one count rule; a float such as 2.5 would be truncated or fail inside
+    # numpy or range(), and a bool is an Integral that counts nothing
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
         raise TypeError(f"{name} must be an integer, got {value!r}")
     if value < least:
         raise ValueError(f"{name} must be >= {least}, got {value}")

@@ -101,9 +101,11 @@ def check_propriety(kind: PriorKind, n: int, zeros: int = 0) -> None:
     Of the n observations, ``zeros`` are 0.  As t = log beta -> -inf the
     posterior of t goes as e^(zeros |t|) |t|^-(n + 1 + nu), so it is proper
     there iff zeros = 0 and n + nu > 0.  A ``kind`` that is not a
-    :class:`PriorKind` raises ``TypeError``.
+    :class:`PriorKind` raises ``TypeError``; n and ``zeros`` are counts
+    (integers >= 0, not bools), else ``TypeError`` or ``ValueError``.
     """
     _check_kind(kind)
+    n, zeros = _check_count("n", n, least=0), _check_count("zeros", zeros, least=0)
     need = math.floor(-_NU[kind]) + 1  # the least n with n + nu > 0
     if zeros:
         are = "observation is" if zeros == 1 else "observations are"

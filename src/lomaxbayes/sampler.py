@@ -100,12 +100,6 @@ __all__ = [
     "run_chains",
 ]
 
-# Fewest iterations per chain at which run_chains forks worker processes: a
-# fork costs 15-30 ms and each forked chain's result is pickled back, so
-# short chains run faster one after another.  The README's fork section
-# gives the measured crossover; a larger n only lowers it.
-_FORK_MIN_ITERATIONS = 2000
-
 # Iterations whose scalar variates run_chain draws in one call each
 _BLOCK = 1024
 
@@ -333,16 +327,15 @@ def _chain_task(d: Dataset, kind: PriorKind, cfg: McmcConfig, chain_index: int) 
 def run_chains(d: Dataset, kind: PriorKind, cfg: McmcConfig) -> tuple[Chain, ...]:
     """Run ``cfg.chains`` independent chains and return them in chain-index order.
 
-    With at least ``_FORK_MIN_ITERATIONS`` iterations per chain and w =
-    ``_fork_width(chains)`` > 1, w - 1 forked worker processes run the
-    chains with ``i % w != 0`` while the caller runs the others; otherwise
-    the chains run one after another.  Each chain owns its generator, so
-    the output is the same either way, and an error is the one a serial
-    run raises first.
+    With w = ``_fork_width(chains)`` > 1, w - 1 forked worker processes
+    run the chains with ``i % w != 0`` while the caller runs the others;
+    otherwise the chains run one after another.  The chain length does not
+    enter.  Each chain owns its generator, so the output is the same either
+    way, and an error is the one a serial run raises first.
     """
     check_propriety(kind, d.n, d.zeros)
     indices = range(cfg.chains)
-    w = _fork_width(cfg.chains) if cfg.iterations >= _FORK_MIN_ITERATIONS else 1
+    w = _fork_width(cfg.chains)
     if w < 2:
         return tuple(run_chain(d, kind, cfg, i) for i in indices)
     with _fork_pool(w - 1) as pool:

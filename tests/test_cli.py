@@ -205,8 +205,7 @@ class TestFitCommand:
 
         monkeypatch.setattr(sampler, "run_chain", fail_chain_1)
         data = _make_data_file(tmp_path)
-        iters = str(sampler._FORK_MIN_ITERATIONS)
-        flags = ["--iters", iters, "--burnin", "100", "--thin", "10", "--out", str(tmp_path / "o")]
+        flags = ["--iters", "300", "--burnin", "100", "--thin", "10", "--out", str(tmp_path / "o")]
         # exit 3 needs the DegenerateDataError type back from the forked chain
         assert main(["fit", data] + flags) == EXIT_NUMERIC
         assert "chain 1 failed" in capsys.readouterr().err
@@ -263,7 +262,7 @@ class TestFitCommand:
 
     def test_forked_and_serial_chains_write_the_same_artifacts(self, tmp_path, monkeypatch, process_pools):
         data = _make_data_file(tmp_path)
-        flags = ["--iters", str(sampler._FORK_MIN_ITERATIONS), "--burnin", "100", "--thin", "10"]
+        flags = ["--iters", "300", "--burnin", "100", "--thin", "10"]
         for cpus in (2, 1):
             monkeypatch.setattr(sampler, "_usable_cpus", lambda: cpus)
             assert main(["fit", data, "--out", str(tmp_path / str(cpus))] + flags) == EXIT_OK

@@ -169,6 +169,15 @@ class TestLogPosterior:
             d = Dataset([0.0] * zeros + [1.0] * (50 - zeros))
             with pytest.raises(ImproperPosteriorError, match=text):
                 log_posterior(kind, LomaxParams(1, 1), d)
+        # counts, not fractions or flags: 2.5 once passed, and zeros=0.5 or
+        # True was reported as "0.5 observations are 0" / "True observation is 0"
+        for n, zeros, name in ((2.5, 0, "n"), (True, 0, "n"), (50, 0.5, "zeros"), (50, True, "zeros")):
+            bad = n if name == "n" else zeros
+            with pytest.raises(TypeError, match=f"^{name} must be an integer, got {bad}$"):
+                check_propriety(kind, n, zeros)
+        with pytest.raises(ValueError, match="^zeros must be >= 0, got -1$"):
+            check_propriety(kind, 50, -1)
+        check_propriety(kind, np.int64(50), np.int64(0))
 
     @pytest.mark.parametrize("kind", list(PriorKind))
     def test_equals_loglik_plus_logprior_up_to_constant(self, kind):

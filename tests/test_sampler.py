@@ -1,6 +1,7 @@
 """Gibbs conditionals, the MH shape update and full-chain behavior."""
 
 import math
+import multiprocessing
 import threading
 from dataclasses import fields, replace
 
@@ -74,9 +75,10 @@ class TestMcmcConfig:
         dict(thin=2.5),
         dict(chains=2.0),
         dict(seed=1.5),
+        dict(chains=True),  # a bool is not a count
     ])
     def test_non_integer_count_names_the_field(self, kwargs):
-        (name, value), = [(k, v) for k, v in kwargs.items() if isinstance(v, float)]
+        (name, value), = [(k, v) for k, v in kwargs.items() if isinstance(v, (float, bool))]
         with pytest.raises(TypeError, match=f"^{name} must be an integer, got {value}$"):
             McmcConfig(**kwargs)
 
@@ -387,7 +389,9 @@ class TestRunChains:
         assert not np.array_equal(cs[0].alpha, cs[1].alpha)
 
     @pytest.mark.parametrize("in_worker", [False, True])
-    @pytest.mark.parametrize("iterations", [sampler._FORK_MIN_ITERATIONS - 1, sampler._FORK_MIN_ITERATIONS])
+    # the chain length does not enter: a short chain, and either side of
+    # the 2,000 iterations below which chains once ran serially
+    @pytest.mark.parametrize("iterations", [300, 1999, 2000])
     @pytest.mark.parametrize("cpus", [1, 2])
     @pytest.mark.parametrize("chains", [1, 2, 3])
     def test_forks_only_when_every_condition_holds(
@@ -406,12 +410,15 @@ class TestRunChains:
         if in_worker:
             monkeypatch.setattr(sampler.multiprocessing, "parent_process", lambda: object())
         d = _data(12)
+        # a short chain forks as a long one does: 2 chains of 300 iterations
+        # on 2 CPUs build one pool of one worker
         cfg = McmcConfig(iterations=iterations, burn_in=100, thin=50, chains=chains, seed=9)
         cs = run_chains(d, PriorKind.REFERENCE, cfg)
         w = min(chains, cpus)
-        forks = w > 1 and iterations >= sampler._FORK_MIN_ITERATIONS and not in_worker
+        forks = w > 1 and not in_worker
         assert process_pools == ([w - 1] if forks else [])
         assert process_pools.methods == ["fork"] * len(process_pools)
+        assert multiprocessing.active_children() == []  # the pool's workers are gone
         # with 3 chains on 2 CPUs the caller runs chains 0 and 2
         assert seen == [i for i in range(chains) if not forks or i % w == 0]
         _assert_chains_equal_run_chain(cs, d, PriorKind.REFERENCE, cfg)
@@ -423,7 +430,7 @@ class TestRunChains:
         other.start()
         try:
             d = _data(12)
-            cfg = McmcConfig(iterations=sampler._FORK_MIN_ITERATIONS, burn_in=100, thin=50, seed=9)
+            cfg = McmcConfig(iterations=300, burn_in=100, thin=50, seed=9)
             cs = run_chains(d, PriorKind.REFERENCE, cfg)
         finally:
             release.set()

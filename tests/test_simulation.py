@@ -1,6 +1,7 @@
 """Monte Carlo harness: bias/rmse formulas, aggregation and determinism."""
 
 import io
+import multiprocessing
 import threading
 import time
 
@@ -99,6 +100,7 @@ class TestStudyConfig:
         # was truncated to n = 50
         ("sample_sizes", dict(sample_sizes=(50.7,))),
         ("seed", dict(seed=1.5)),
+        ("replications", dict(replications=True)),  # a bool is not a count
     ])
     def test_non_integer_count_names_the_field(self, name, kwargs):
         with pytest.raises(TypeError, match=f"^{name} must be an integer"):
@@ -236,6 +238,7 @@ class TestRunStudyEndToEnd:
         r1 = run_study(self._small_cfg(), n_jobs=1)
         r2 = run_study(self._small_cfg(), n_jobs=2)
         assert r1.rows == r2.rows
+        assert multiprocessing.active_children() == []  # the pool's workers are gone
 
     @pytest.mark.parametrize("n_jobs,cpus,replications,pools", [
         (64, 2, 3, [2]),  # capped by the usable CPUs
@@ -243,7 +246,8 @@ class TestRunStudyEndToEnd:
         (4, 1, 3, []),  # one worker: the caller fits every replicate
         (None, 2, 3, [2]),  # no cap: as wide as the CPUs allow
         (None, 8, 2, [2]),
-        (1, 2, 3, []),  # capped at one: the caller fits every replicate
+        # capped at one: the caller fits every replicate and forks its 2 chains
+        (1, 2, 3, [1, 1, 1]),
     ])
     def test_workers_capped_by_cpus_and_replicates(
         self, monkeypatch, process_pools, n_jobs, cpus, replications, pools
@@ -256,6 +260,7 @@ class TestRunStudyEndToEnd:
         report = run_study(cfg, n_jobs=n_jobs)
         assert process_pools == pools
         assert process_pools.methods == ["fork"] * len(pools)
+        assert multiprocessing.active_children() == []  # every pool's workers are gone
         assert report.rows == run_study(cfg, n_jobs=1).rows
 
     def test_serial_while_another_thread_runs(self, monkeypatch, process_pools):
@@ -276,7 +281,7 @@ class TestRunStudyEndToEnd:
     def test_forked_chains_match_serial_workers(self, monkeypatch, process_pools):
         # n_jobs=1 forks each replicate's chains; the 2 workers of n_jobs=2 run theirs serially
         monkeypatch.setattr(sampler, "_usable_cpus", lambda: 2)
-        mcmc = McmcConfig(iterations=sampler._FORK_MIN_ITERATIONS, burn_in=500, thin=10, seed=5)
+        mcmc = McmcConfig(iterations=600, burn_in=100, thin=10, seed=5)
         cfg = StudyConfig(
             true_params=TRUTH, sample_sizes=(20,), replications=2,
             priors=(PriorKind.JEFFREYS_DEPENDENT,), mcmc=mcmc, seed=3,
