@@ -20,7 +20,7 @@ from lomaxbayes import (
     sample,
 )
 from lomaxbayes import sampler
-from lomaxbayes.priors import log_prior_alpha
+from lomaxbayes.priors import log_posterior, log_prior_alpha
 from lomaxbayes.sampler import (
     _alpha_term,
     _mh_step_alpha,
@@ -29,6 +29,7 @@ from lomaxbayes.sampler import (
     sample_lambda,
 )
 from mh_oracle import ACCEPT_BRACKET, stationary_mean, target_mean
+import posterior_oracle
 
 N_DRAWS = 100_000
 
@@ -620,3 +621,29 @@ class TestMixingBehavior:
         for param, truth in (("beta", 2.0), ("alpha", 1.5)):
             pooled = np.concatenate([getattr(c, param) for c in cs])
             assert abs(pooled.mean() - truth) < 3 * pooled.std(ddof=1)
+
+
+class TestExactPosterior:
+    """The whole sampler against the dependent-Jeffreys posterior on a grid (posterior_oracle)."""
+
+    @pytest.mark.parametrize("n", list(posterior_oracle.RUNS))
+    def test_density_is_the_packages_posterior_in_log_coordinates(self, n):
+        # the oracle writes the density out itself; up to a constant it is the
+        # package's log posterior plus the Jacobian t + s
+        x = posterior_oracle.data(n)
+        t, s = np.array([0.2, 1.4, 3.0]), np.array([-0.5, 0.8, 2.0])
+        grid = np.array(list(posterior_oracle._rows(x, t, s)))
+        package = np.array([[log_posterior(PriorKind.JEFFREYS_DEPENDENT,
+                                           LomaxParams(math.exp(ti), math.exp(si)), Dataset(x)) + ti + si
+                             for si in s] for ti in t])
+        assert np.ptp(grid - package) < 1e-9
+
+    @pytest.mark.parametrize("n", list(posterior_oracle.RUNS))
+    def test_quantiles_move_less_than_1e_3_on_a_grid_twice_as_fine(self, n):
+        x = posterior_oracle.data(n)
+        grid, finer = posterior_oracle.quantiles(x), posterior_oracle.quantiles(x, 2 * posterior_oracle.POINTS)
+        assert np.abs(np.subtract(grid, finer)).max() < 1e-3
+
+    def test_chains_hold_the_exact_quantiles(self):
+        z = posterior_oracle.gate(posterior_oracle.MASTER)
+        assert np.abs(z).max() < posterior_oracle.THRESHOLD, z
