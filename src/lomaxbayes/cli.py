@@ -179,11 +179,7 @@ def cmd_fit(args) -> int:
 
     print(f"prior={kind.value} n={d.n} seed={cfg.seed}")
     for param in ("beta", "alpha"):
-        s = summary[param]
-        print(
-            f"  {param}: mean={s['mean']} sd={s['sd']} "
-            f"95% CI=[{s['ci_low']}, {s['ci_high']}]"
-        )
+        print(f"  {param}: " + " ".join(f"{k}={v}" for k, v in summary[param].items()))
     print(f"  acceptance rate={summary['acceptance_rate']} psrf={summary['psrf']}")
     print(f"artifacts written to {out}")
     return EXIT_OK
@@ -254,10 +250,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="run a Monte Carlo bias/rmse study")
     sim.add_argument(
-        "--prior",
-        choices=PRIOR_CHOICES,
-        default=None,
-        help=f"restrict to one prior (default: {', '.join(k.value for k in StudyConfig.priors)})",
+        "--prior", choices=PRIOR_CHOICES, default=None,
+        help=f"restrict to one prior (default: {', '.join(k.value for k in StudyConfig.priors)}); "
+        "the reference posterior, under 1/(alpha beta), is improper as beta -> inf at every n",
     )
     sim.add_argument(
         "--replications", type=int, default=StudyConfig.replications, help="datasets per cell"

@@ -17,7 +17,7 @@ from __future__ import annotations
 import sys
 from collections.abc import Iterable
 from contextlib import nullcontext
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import partial
 
 import numpy as np
@@ -39,11 +39,6 @@ __all__ = [
     "run_study",
     "summarize_chains",
 ]
-
-CSV_COLUMNS = (
-    "prior,n,parameter,mean,sd,ci_low,ci_high,bias,rmse,accept_rate,psrf"
-)
-
 
 @dataclass(frozen=True)
 class StudyConfig:
@@ -68,6 +63,8 @@ class StudyConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.true_params, LomaxParams):
+            raise TypeError(f"true_params must be a LomaxParams, got {self.true_params!r}")
         sizes = _design_axis("sample_sizes", self.sample_sizes, "integers", _check_count)
         object.__setattr__(self, "sample_sizes", sizes)
         object.__setattr__(self, "priors", _design_axis("priors", self.priors, "PriorKind"))
@@ -104,7 +101,11 @@ class ReplicateFit:
 
 @dataclass(frozen=True)
 class CellStats:
-    """One report row: a (prior, n, parameter) cell aggregated over replicates."""
+    """One report row: a (prior, n, parameter) cell aggregated over replicates.
+
+    Its fields are the report's columns; after the labels come the replicates'
+    means of the :class:`SummaryStats` fields, in that class's order.
+    """
 
     prior: PriorKind
     n: int
@@ -117,6 +118,9 @@ class CellStats:
     rmse: float
     accept_rate: float
     psrf: float
+
+
+CSV_COLUMNS = ",".join(f.name for f in fields(CellStats))
 
 
 @dataclass(frozen=True)
@@ -149,9 +153,7 @@ class SimReport:
 
 def _row(r: CellStats, fmt) -> list[str]:
     """A row's fields in CSV_COLUMNS order: the labels as text, the numbers through ``fmt``."""
-    return [r.prior.value, str(r.n), r.parameter] + [
-        fmt(getattr(r, column)) for column in CSV_COLUMNS.split(",")[3:]
-    ]
+    return [r.prior.value, str(r.n), r.parameter] + [fmt(getattr(r, f.name)) for f in fields(r)[3:]]
 
 
 def bias(estimates, truth: float) -> float:
@@ -256,20 +258,13 @@ def run_study(
             stats = [getattr(f, param) for f in cell_fits]
             est = np.array([s.mean for s in stats])
             truth = getattr(cfg.true_params, param)
-            rows.append(
-                CellStats(
-                    prior=kind,
-                    n=n,
-                    parameter=param,
-                    mean=float(est.mean()),
-                    sd=float(np.mean([s.sd for s in stats])),
-                    ci_low=float(np.mean([s.ci_low for s in stats])),
-                    ci_high=float(np.mean([s.ci_high for s in stats])),
-                    bias=bias(est, truth),
-                    rmse=rmse(est, truth),
-                    accept_rate=float(np.mean([f.accept_rate for f in cell_fits])),
-                    psrf=float(np.mean([getattr(f, "psrf_" + param) for f in cell_fits])),
-                )
-            )
+            means = {column.name: float(np.mean([getattr(s, column.name) for s in stats]))
+                     for column in fields(SummaryStats)}
+            rows.append(CellStats(
+                prior=kind, n=n, parameter=param, **means,
+                bias=bias(est, truth), rmse=rmse(est, truth),
+                accept_rate=float(np.mean([f.accept_rate for f in cell_fits])),
+                psrf=float(np.mean([getattr(f, "psrf_" + param) for f in cell_fits])),
+            ))
             estimates[(kind.value, n, param)] = est
     return SimReport(config=cfg, rows=tuple(rows), estimates=estimates)

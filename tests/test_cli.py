@@ -146,6 +146,18 @@ class TestFitCommand:
         assert len(outliers) == 1 + 30
         assert outliers[1].split(",")[2] in {"true", "false"}
 
+    def test_report_prints_each_summary_key(self, tmp_path, capsys):
+        data = _make_data_file(tmp_path)
+        out = tmp_path / "out"
+        assert main(["fit", data, "--out", str(out)] + FIT_FLAGS) == EXIT_OK
+        summary = json.loads((out / "summary.json").read_text())
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "prior=jeffreys n=30 seed=7"
+        for line, param in zip(lines[1:3], ("beta", "alpha")):
+            s = summary[param]
+            assert line == f"  {param}: mean={s['mean']} sd={s['sd']} ci_low={s['ci_low']} ci_high={s['ci_high']}"
+        assert lines[-1] == f"artifacts written to {out}"
+
     def test_byte_identical_reruns(self, tmp_path):
         data = _make_data_file(tmp_path)
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -292,6 +304,14 @@ class TestFitCommand:
     def test_bad_data_exits_2(self, tmp_path):
         data = _write(tmp_path, "1.0\n-3.0\n")
         assert main(["fit", data, "--out", str(tmp_path)] + FIT_FLAGS) == EXIT_DATA
+
+    @pytest.mark.parametrize("token", ["inf", "-inf", "nan", "1e999"])
+    def test_non_finite_value_exits_2_before_writing(self, tmp_path, capsys, token):
+        data = _write(tmp_path, f"1.0\n{token}\n3.0\n")
+        out = tmp_path / "out"
+        assert main(["fit", data, "--out", str(out)] + FIT_FLAGS) == EXIT_DATA
+        assert f"{data}: line 2: non-finite value" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_file_exits_2(self, tmp_path):
         missing = str(tmp_path / "nope.txt")

@@ -4,6 +4,7 @@ import io
 import multiprocessing
 import threading
 import time
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from lomaxbayes import (
     sampler,
     simulation,
 )
-from lomaxbayes.simulation import CSV_COLUMNS
+from lomaxbayes.simulation import CSV_COLUMNS, CellStats
 
 TRUTH = LomaxParams(beta=2.0, alpha=1.5)
 
@@ -95,6 +96,13 @@ class TestStudyConfig:
         with pytest.raises(ValueError, match="priors must be distinct"):
             StudyConfig(true_params=TRUTH, priors=(PriorKind.REFERENCE, PriorKind.REFERENCE))
 
+    @pytest.mark.parametrize("truth", [(2.0, 1.5), {"beta": 2.0, "alpha": 1.5}, None],
+                             ids=["tuple", "dict", "none"])
+    def test_true_params_must_be_lomax_params(self, truth):
+        # a tuple once failed inside replicate 0: "'tuple' object has no attribute 'beta'"
+        with pytest.raises(TypeError, match="^true_params must be a LomaxParams"):
+            StudyConfig(true_params=truth, sample_sizes=(5,), replications=1)
+
     @pytest.mark.parametrize("name,kwargs", [
         ("replications", dict(replications=2.5)),
         # was truncated to n = 50
@@ -158,6 +166,21 @@ class TestRunStudyHarness:
         for row in report.rows:
             assert row.bias == pytest.approx(0.0, abs=1e-15)
             assert row.rmse == pytest.approx(1.0, rel=1e-15)
+
+    def test_summary_columns_are_replicate_means(self):
+        cfg = StudyConfig(
+            true_params=TRUTH, sample_sizes=(5,), replications=2,
+            priors=(PriorKind.REFERENCE,), mcmc=FAST_MCMC, seed=1,
+        )
+        fitted = iter([
+            ReplicateFit(SummaryStats(1.0, 0.5, 0.25, 2.0), SummaryStats(3.0, 1.0, 2.0, 4.5), 0.5, 1.0, 1.5),
+            ReplicateFit(SummaryStats(2.0, 1.5, 0.75, 4.0), SummaryStats(1.0, 2.0, 0.5, 1.5), 0.75, 2.0, 2.5),
+        ])
+        report = run_study(cfg, fit_fn=lambda d, k, m: next(fitted))
+        beta, alpha = report.rows
+        assert (beta.mean, beta.sd, beta.ci_low, beta.ci_high) == (1.5, 1.0, 0.5, 3.0)
+        assert (alpha.mean, alpha.sd, alpha.ci_low, alpha.ci_high) == (2.0, 1.5, 1.25, 3.0)
+        assert (beta.accept_rate, beta.psrf, alpha.psrf) == (0.625, 1.5, 2.0)
 
     def test_stub_sees_replicate_data_and_config(self):
         seen = []
@@ -323,6 +346,14 @@ class TestRunStudyEndToEnd:
         first = lines[1].split(",")
         assert first[0] == "reference" and first[1] == "6" and first[2] == "beta"
         assert float(first[3]) == pytest.approx(report.rows[0].mean)
+
+    def test_columns_are_the_fields_of_one_schema(self):
+        names = [f.name for f in fields(CellStats)]
+        assert CSV_COLUMNS.split(",") == names
+        # each summary a fit reports is averaged into a column of the same name
+        summary = [f.name for f in fields(SummaryStats)]
+        assert names[:3] == ["prior", "n", "parameter"]
+        assert names[3:3 + len(summary)] == summary
 
     def test_table_renders_all_rows(self):
         report = run_study(self._small_cfg())
