@@ -162,6 +162,11 @@ def _out_dir(value: str) -> Path:
     return out
 
 
+def _report_fields(values: dict, prefix: str = "") -> str:
+    """``key=value`` pairs of one ``summary.json`` object, each value as JSON writes it."""
+    return " ".join(f"{prefix}{k}={json.dumps(v)}" for k, v in values.items())
+
+
 def cmd_fit(args) -> int:
     out = _out_dir(args.out)
     d = parse_dataset(args.data)
@@ -179,8 +184,9 @@ def cmd_fit(args) -> int:
 
     print(f"prior={kind.value} n={d.n} seed={cfg.seed}")
     for param in ("beta", "alpha"):
-        print(f"  {param}: " + " ".join(f"{k}={v}" for k, v in summary[param].items()))
-    print(f"  acceptance rate={summary['acceptance_rate']} psrf={summary['psrf']}")
+        print(f"  {param}: {_report_fields(summary[param])}")
+    print(f"  acceptance_rate={json.dumps(summary['acceptance_rate'])} "
+          f"{_report_fields(summary['psrf'], 'psrf.')}")
     print(f"artifacts written to {out}")
     return EXIT_OK
 
@@ -223,8 +229,9 @@ def _add_mcmc_flags(p, defaults: McmcConfig):
     p.add_argument("--thin", type=int, default=defaults.thin, help="keep every thin-th draw")
     p.add_argument(
         "--chains", type=int, default=defaults.chains,
-        help="number of chains; they run in forked processes, up to one per usable "
-        "CPU, but one after another in simulate's worker processes",
+        help="number of chains; with 2 or more usable CPUs, chain 0 runs in this process "
+        "and the others in forked ones, up to one process per CPU; simulate runs each "
+        "replicate's chains one after another when it spreads its replicates over processes",
     )
     p.add_argument("--seed", type=int, default=defaults.seed, help="non-negative master seed")
     p.add_argument(

@@ -79,11 +79,13 @@ cost among those that give the same bits:
 from __future__ import annotations
 
 import math
-import multiprocessing
 import os
+import pickle
+import select
+import signal
 import threading
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -300,44 +302,153 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+# True while an item of a _fork_map that forks runs, in a worker or in the caller
+_in_map = False
+
+
 def _fork_width(k: int) -> int:
     """Processes that may run k independent tasks from this one: min(k, usable
-    CPUs), but 1 in a pool's worker, with another live thread (a fork copies
-    no thread but every lock one may hold) or without ``fork``."""
-    if (
-        multiprocessing.parent_process() is not None
-        or threading.active_count() > 1
-        or "fork" not in multiprocessing.get_all_start_methods()
-    ):
+    CPUs), but 1 inside an item of a map that forks, with another live thread
+    (a fork copies no thread but every lock one may hold) or without ``fork``."""
+    if _in_map or threading.active_count() > 1 or not hasattr(os, "fork"):
         return 1
     return min(k, _usable_cpus())
 
 
-def _fork_pool(workers: int) -> ProcessPoolExecutor:
-    """A pool of ``workers`` forked processes, to be shut down by a ``with`` block."""
-    return ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+def _outcome(fn, item) -> tuple[bool, object]:
+    """``(True, fn(item))``, or ``(False, exc)`` if it raised exc, run as an item of a map."""
+    global _in_map
+    outer, _in_map = _in_map, True
+    try:
+        return True, fn(item)
+    except Exception as exc:
+        return False, exc
+    finally:
+        _in_map = outer
 
 
-def _chain_task(d: Dataset, kind: PriorKind, cfg: McmcConfig, chain_index: int) -> Chain:
-    # A pool pickles its task by name, and run_chain may have been replaced
-    # by a wrapper (a tracer, a test's patch) that cannot be pickled.
-    return run_chain(d, kind, cfg, chain_index)
+def _serve(fn, items: list, tasks: int, results: int, others: list[int]):
+    """A forked worker: run each item whose index arrives on the pipe ``tasks``
+    and send its pickled outcome back on ``results``, until ``tasks`` closes.
+    It first closes ``others``, the caller's pipe ends that the fork copied,
+    and it leaves only by ``os._exit``, so it never returns into the caller's code."""
+    code = 1
+    try:
+        # holding no end of another worker's pipe, each worker sees its task
+        # pipe close, and ends, when the caller's process ends
+        for fd in others:
+            os.close(fd)
+        with open(results, "wb") as out:
+            while index := os.read(tasks, 8):
+                i = int.from_bytes(index, "little")
+                outcome = _outcome(fn, items[i])
+                try:
+                    message = pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL)
+                except Exception as exc:
+                    error = RuntimeError(f"item {i}: cannot send {outcome[1]!r} back: {exc}")
+                    message = pickle.dumps((False, error), pickle.HIGHEST_PROTOCOL)
+                out.write(message)
+                out.flush()
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _fork_map(fn, items, w: int):
+    """Yield ``fn(item)`` for each of ``items`` in item order, on up to w processes.
+
+    With w > 1 and 2 or more items, the caller forks w - 1 workers (w capped
+    at the number of items) and runs item 0 itself; then, if items are left,
+    it forks one more worker and only hands out items from then on.  Items
+    go out in order, one at a time, to whichever worker is free.  A worker
+    inherits ``fn`` and ``items`` from the fork; only item indices and
+    outcomes cross its two pipes.  Results are yielded as soon as every
+    earlier item has finished.
+
+    The first failed item in item order raises its exception, as a serial
+    map would, and no item after it is handed out.  A worker that ends
+    without an outcome, or whose outcome cannot be pickled, fails its item
+    with a ``RuntimeError`` that names the item.  However the map ends, by a
+    result, an error or an interrupt, every worker is killed and reaped and
+    every pipe closed.
+    """
+    items = list(items)
+    w = min(w, len(items))
+    if w < 2:
+        yield from map(fn, items)
+        return
+    workers = {}  # a worker's result pipe (read end, a file) -> (its pid, its task pipe's write end)
+    busy = {}  # the result pipe of a worker with an item -> the item's index
+    nxt = 1
+
+    def fork_worker():
+        tasks_r, tasks_w = os.pipe()
+        results_r, results_w = os.pipe()
+        others = [fd for f, (_, task) in workers.items() for fd in (f.fileno(), task)]
+        try:
+            pid = os.fork()
+        except OSError:
+            for fd in (tasks_r, tasks_w, results_r, results_w):
+                os.close(fd)
+            raise
+        if pid == 0:
+            _serve(fn, items, tasks_r, results_w, others + [tasks_w, results_r])
+        os.close(tasks_r)
+        os.close(results_w)
+        f = open(results_r, "rb")
+        workers[f] = pid, tasks_w
+        return f
+
+    def hand_out(f) -> None:
+        nonlocal nxt
+        os.write(workers[f][1], nxt.to_bytes(8, "little"))
+        busy[f] = nxt
+        nxt += 1
+
+    try:
+        for _ in range(w - 1):
+            hand_out(fork_worker())
+        outcomes = {0: _outcome(fn, items[0])}  # finished items not yet yielded
+        failed = not outcomes[0][0]
+        if not failed and nxt < len(items):
+            hand_out(fork_worker())
+        done = 0
+        while True:
+            while done in outcomes:
+                ok, value = outcomes.pop(done)
+                if not ok:
+                    raise value
+                yield value
+                done += 1
+            if done == len(items):
+                return
+            for f in select.select(list(busy), [], [])[0]:
+                i = busy.pop(f)
+                try:
+                    outcomes[i] = pickle.load(f)
+                except Exception as exc:  # EOF from a dead worker, or an outcome that cannot be rebuilt
+                    outcomes[i] = False, RuntimeError(f"item {i}: no outcome from its worker: {exc!r}")
+                # after a failure no item is handed out, so a dead worker gets none
+                failed = failed or not outcomes[i][0]
+                if not failed and nxt < len(items):
+                    hand_out(f)
+    finally:
+        for f, (pid, task) in workers.items():
+            f.close()
+            os.close(task)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def run_chains(d: Dataset, kind: PriorKind, cfg: McmcConfig) -> tuple[Chain, ...]:
     """Run ``cfg.chains`` independent chains and return them in chain-index order.
 
-    With w = ``_fork_width(chains)`` > 1, w - 1 forked worker processes
-    run the chains with ``i % w != 0`` while the caller runs the others;
-    otherwise the chains run one after another.  The chain length does not
-    enter.  Each chain owns its generator, so the output is the same either
-    way, and an error is the one a serial run raises first.
+    The chains go through ``_fork_map`` on w = ``_fork_width(chains)``
+    processes: with w > 1 the caller runs chain 0 and forked workers run the
+    others.  The chain length does not enter.  Each chain owns its
+    generator, so the output is the same however the chains are spread, and
+    an error is the one a serial run raises first.
     """
     check_propriety(kind, d.n, d.zeros)
-    indices = range(cfg.chains)
-    w = _fork_width(cfg.chains)
-    if w < 2:
-        return tuple(run_chain(d, kind, cfg, i) for i in indices)
-    with _fork_pool(w - 1) as pool:
-        forked = {i: pool.submit(_chain_task, d, kind, cfg, i) for i in indices if i % w}
-        return tuple(forked[i].result() if i in forked else run_chain(d, kind, cfg, i) for i in indices)
+    return tuple(_fork_map(partial(run_chain, d, kind, cfg), range(cfg.chains),
+                           _fork_width(cfg.chains)))

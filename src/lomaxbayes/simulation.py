@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import sys
 from collections.abc import Iterable
-from contextlib import nullcontext
 from dataclasses import dataclass, fields, replace
 from functools import partial
 
@@ -221,11 +220,14 @@ def run_study(
 
     ``fit_fn(dataset, kind, mcmc) -> ReplicateFit`` replaces the Gibbs
     fit when given (stubs for harness tests); custom fit functions run
-    serially.  Otherwise w = ``sampler._fork_width(k)`` forked workers fit
-    the replicates when w > 1, for k replicates capped at ``n_jobs`` if
-    given, and the caller fits them when w = 1.  Either way the results
-    are taken in (prior, n, j) order, and the first failed replicate ends
-    the study: the replicates not yet started are cancelled.
+    serially.  Otherwise the replicates go through ``sampler._fork_map`` on
+    w = ``sampler._fork_width(k)`` processes, for k replicates capped at
+    ``n_jobs`` if given: with w > 1 the caller fits replicate 0 and forks
+    w - 1 workers, and each process runs its replicates' chains one after
+    another; with w = 1 the caller fits every replicate, and each fit may
+    fork its chains.  Either way the results are taken in (prior, n, j)
+    order, and the first failed replicate ends the study: no replicate
+    after it is started.
     """
     if n_jobs is not None:
         n_jobs = _check_count("n_jobs", n_jobs)
@@ -236,19 +238,17 @@ def run_study(
     fit = partial(_fit_one, cfg, fit_fn or fit_replicate)
 
     fits: list[ReplicateFit] = []
-    with sampler._fork_pool(w) if w > 1 else nullcontext() as pool:
-        # Executor.map cancels the calls not yet started once a result raises
-        results = pool.map(fit, keys) if w > 1 else map(fit, keys)
-        for kind, n, j in keys:
-            try:
-                fits.append(next(results))
-            except Exception as exc:
-                raise RuntimeError(
-                    f"replicate {j} failed for prior={kind.value}, n={n}: {exc}"
-                ) from exc
-            if progress and (j + 1 == m or (j + 1) % 10 == 0):
-                print(f"[simulate] prior={kind.value} n={n}: replicate {j + 1}/{m}",
-                      file=sys.stderr, flush=True)
+    results = sampler._fork_map(fit, keys, w)
+    for kind, n, j in keys:
+        try:
+            fits.append(next(results))
+        except Exception as exc:
+            raise RuntimeError(
+                f"replicate {j} failed for prior={kind.value}, n={n}: {exc}"
+            ) from exc
+        if progress and (j + 1 == m or (j + 1) % 10 == 0):
+            print(f"[simulate] prior={kind.value} n={n}: replicate {j + 1}/{m}",
+                  file=sys.stderr, flush=True)
 
     rows: list[CellStats] = []
     estimates: dict[tuple, np.ndarray] = {}

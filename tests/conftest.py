@@ -1,29 +1,25 @@
 """Fixtures shared by the test modules."""
 
-from concurrent.futures import ProcessPoolExecutor
-
 import pytest
 
-
-class _Pools(list):
-    """The max_workers of each pool, in order; ``methods`` holds their start
-    methods, None for a pool left to the platform's default."""
-
-    def __init__(self):
-        super().__init__()
-        self.methods = []
+from lomaxbayes import sampler
 
 
 @pytest.fixture
-def process_pools(monkeypatch) -> _Pools:
-    """Every process pool built in this process, whichever module builds it."""
-    pools = _Pools()
-    init = ProcessPoolExecutor.__init__
+def process_pools(monkeypatch) -> list:
+    """The w of each ``sampler._fork_map`` call in this process that forks
+    (w > 1, with 2 or more items), in order, whichever module makes it.
 
-    def spy(self, max_workers=None, mp_context=None, *args, **kwargs):
-        pools.append(max_workers)
-        pools.methods.append(mp_context and mp_context.get_start_method())
-        init(self, max_workers, mp_context, *args, **kwargs)
+    A forked worker's own calls run in its process, so they are not listed;
+    inside an item of a map that forks, ``_fork_width`` gives 1 anyway."""
+    widths = []
+    fork_map = sampler._fork_map
 
-    monkeypatch.setattr(ProcessPoolExecutor, "__init__", spy)
-    return pools
+    def spy(fn, items, w):
+        items = list(items)
+        if min(w, len(items)) > 1:
+            widths.append(w)
+        return fork_map(fn, items, w)
+
+    monkeypatch.setattr(sampler, "_fork_map", spy)
+    return widths

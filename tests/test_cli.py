@@ -146,16 +146,24 @@ class TestFitCommand:
         assert len(outliers) == 1 + 30
         assert outliers[1].split(",")[2] in {"true", "false"}
 
-    def test_report_prints_each_summary_key(self, tmp_path, capsys):
+    @pytest.mark.parametrize("chains", ["1", "2"])
+    def test_report_prints_each_summary_key(self, tmp_path, capsys, chains):
         data = _make_data_file(tmp_path)
         out = tmp_path / "out"
-        assert main(["fit", data, "--out", str(out)] + FIT_FLAGS) == EXIT_OK
+        assert main(["fit", data, "--out", str(out)] + FIT_FLAGS + ["--chains", chains]) == EXIT_OK
         summary = json.loads((out / "summary.json").read_text())
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "prior=jeffreys n=30 seed=7"
         for line, param in zip(lines[1:3], ("beta", "alpha")):
             s = summary[param]
             assert line == f"  {param}: mean={s['mean']} sd={s['sd']} ci_low={s['ci_low']} ci_high={s['ci_high']}"
+        psrf = summary["psrf"]
+        if chains == "1":  # one chain has no PSRF: summary.json holds null
+            assert psrf == {"alpha": None, "beta": None}
+            assert lines[3] == f"  acceptance_rate={summary['acceptance_rate']} psrf.alpha=null psrf.beta=null"
+        else:
+            assert lines[3] == (f"  acceptance_rate={summary['acceptance_rate']} "
+                                f"psrf.alpha={psrf['alpha']} psrf.beta={psrf['beta']}")
         assert lines[-1] == f"artifacts written to {out}"
 
     def test_byte_identical_reruns(self, tmp_path):
@@ -221,7 +229,7 @@ class TestFitCommand:
         # exit 3 needs the DegenerateDataError type back from the forked chain
         assert main(["fit", data] + flags) == EXIT_NUMERIC
         assert "chain 1 failed" in capsys.readouterr().err
-        assert process_pools == [1]
+        assert process_pools == [2]
 
     def test_zero_heavy_data_refused_before_forking(self, tmp_path, monkeypatch, capsys, process_pools):
         # chains long enough to fork on 2 CPUs; the improper posterior stops them all
@@ -278,7 +286,7 @@ class TestFitCommand:
         for cpus in (2, 1):
             monkeypatch.setattr(sampler, "_usable_cpus", lambda: cpus)
             assert main(["fit", data, "--out", str(tmp_path / str(cpus))] + flags) == EXIT_OK
-        assert process_pools == [1]
+        assert process_pools == [2]
         for name in ("summary.json", "trace.csv", "outliers.csv"):
             assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
 
@@ -447,8 +455,9 @@ class TestRuntimeWithoutScipy:
             "assert code == 0, code\n"
             "run_study(StudyConfig(LomaxParams(2.0, 1.5), sample_sizes=(20,), replications=2,"
             " mcmc=McmcConfig(300, 100, 1)))\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'"
-            " or m.startswith('numpy.polynomial')))",
+            # the fork map needs neither multiprocessing nor concurrent.futures
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'multiprocessing',"
+            " 'concurrent') or m.startswith('numpy.polynomial')))",
             tmp_path,
         )
         assert done.returncode == 0, done.stderr

@@ -1,8 +1,12 @@
 """Gibbs conditionals, the MH shape update and full-chain behavior."""
 
+import contextlib
 import math
-import multiprocessing
+import os
+import signal
+import sys
 import threading
+import time
 from dataclasses import fields, replace
 
 import numpy as np
@@ -398,8 +402,8 @@ class TestRunChains:
     def test_forks_only_when_every_condition_holds(
         self, monkeypatch, process_pools, chains, cpus, iterations, in_worker
     ):
-        # the spy is a local closure, which pickle cannot send: the pool
-        # must be handed a module-level task, not run_chain
+        # a forked worker inherits the spy and records in its own copy of
+        # seen, so seen lists the chains that the caller ran
         seen, orig = [], sampler.run_chain
 
         def spy(d, kind, cfg, chain_index=0):
@@ -409,20 +413,29 @@ class TestRunChains:
         monkeypatch.setattr(sampler, "run_chain", spy)
         monkeypatch.setattr(sampler, "_usable_cpus", lambda: cpus)
         if in_worker:
-            monkeypatch.setattr(sampler.multiprocessing, "parent_process", lambda: object())
+            monkeypatch.setattr(sampler, "_in_map", True)
         d = _data(12)
         # a short chain forks as a long one does: 2 chains of 300 iterations
-        # on 2 CPUs build one pool of one worker
+        # on 2 CPUs fork one worker
         cfg = McmcConfig(iterations=iterations, burn_in=100, thin=50, chains=chains, seed=9)
         cs = run_chains(d, PriorKind.REFERENCE, cfg)
         w = min(chains, cpus)
         forks = w > 1 and not in_worker
-        assert process_pools == ([w - 1] if forks else [])
-        assert process_pools.methods == ["fork"] * len(process_pools)
-        assert multiprocessing.active_children() == []  # the pool's workers are gone
-        # with 3 chains on 2 CPUs the caller runs chains 0 and 2
-        assert seen == [i for i in range(chains) if not forks or i % w == 0]
+        assert process_pools == ([w] if forks else [])
+        _assert_no_child()
+        # a forking caller runs chain 0 only: with 3 chains on 2 CPUs it forks
+        # a second worker for chain 2 once chain 0 is done
+        assert seen == ([0] if forks else list(range(chains)))
         _assert_chains_equal_run_chain(cs, d, PriorKind.REFERENCE, cfg)
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts /proc/self/fd")
+    def test_no_pipe_left_open_after_a_forked_fit(self, monkeypatch, process_pools):
+        monkeypatch.setattr(sampler, "_usable_cpus", lambda: 2)
+        before = _open_fds()
+        run_chains(_data(12), PriorKind.REFERENCE, McmcConfig(300, 100, 10, seed=9))
+        assert process_pools == [2]
+        assert _open_fds() == before
+        _assert_no_child()
 
     def test_serial_while_another_thread_runs(self, monkeypatch, process_pools):
         monkeypatch.setattr(sampler, "_usable_cpus", lambda: 2)
@@ -439,6 +452,78 @@ class TestRunChains:
         assert not other.is_alive()
         assert process_pools == []
         _assert_chains_equal_run_chain(cs, d, PriorKind.REFERENCE, cfg)
+
+
+class TestForkMap:
+    """Failures that the fork map itself must turn into errors, without leaving
+    a worker process or a pipe behind."""
+
+    def test_a_dead_worker_fails_its_item(self):
+        def exit_on_1(i):
+            if i == 1:
+                os._exit(1)
+            return i
+
+        before = _open_fds()
+        with _deadline(60), pytest.raises(RuntimeError, match="^item 1: no outcome from its worker"):
+            list(sampler._fork_map(exit_on_1, range(4), 2))
+        assert _open_fds() == before
+        _assert_no_child()
+
+    @pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
+    def test_an_error_in_the_callers_item_kills_the_workers(self, error):
+        def fail_0(i):
+            if i == 0:
+                raise error("item 0 failed")
+            time.sleep(60)
+
+        before, start = _open_fds(), time.monotonic()
+        with _deadline(60), pytest.raises(error, match="item 0 failed"):
+            list(sampler._fork_map(fail_0, range(3), 2))
+        assert time.monotonic() - start < 30  # the worker's sleep was cut short
+        assert _open_fds() == before
+        _assert_no_child()
+
+    def test_an_error_a_worker_cannot_pickle_arrives_as_its_repr(self):
+        class Local(Exception):  # pickle sends a class by name, and this one has none
+            pass
+
+        def fail_1(i):
+            if i == 1:
+                raise Local("cannot travel")
+            return i
+
+        before = _open_fds()
+        with _deadline(60), pytest.raises(RuntimeError, match=r"^item 1: cannot send Local\('cannot travel'\) back"):
+            list(sampler._fork_map(fail_1, range(3), 2))
+        assert _open_fds() == before
+        _assert_no_child()
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Raise TimeoutError in the test if its block runs longer than ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def _open_fds() -> set[str]:
+    """This process's open file descriptors, where /proc lists them."""
+    return set(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else set()
+
+
+def _assert_no_child():
+    # every forked worker has been reaped: this process has no child left
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def _assert_chains_equal_run_chain(cs, d, kind, cfg):
