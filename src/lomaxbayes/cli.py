@@ -8,16 +8,20 @@ index,x,flagged, which marks the x above their 95th percentile).
 aggregated table.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical or
-propriety error.  Runs are reproducible: the same flags and seed yield
+propriety error, and 143 for the ``lomaxbayes`` command stopped by
+SIGTERM.  Runs are reproducible: the same flags and seed yield
 byte-identical artifacts.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import math
 import os
+import signal
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -229,9 +233,8 @@ def _add_mcmc_flags(p, defaults: McmcConfig):
     p.add_argument("--thin", type=int, default=defaults.thin, help="keep every thin-th draw")
     p.add_argument(
         "--chains", type=int, default=defaults.chains,
-        help="number of chains; with 2 or more usable CPUs, chain 0 runs in this process "
-        "and the others in forked ones, up to one process per CPU; simulate runs each "
-        "replicate's chains one after another when it spreads its replicates over processes",
+        help="number of chains, run on up to one process per usable CPU (on one "
+        "when simulate spreads its replicates over processes)",
     )
     p.add_argument("--seed", type=int, default=defaults.seed, help="non-negative master seed")
     p.add_argument(
@@ -277,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
+def _run(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -295,7 +298,36 @@ def main(argv=None) -> int:
         raise
 
 
+def main(argv=None) -> int:
+    """Run one command and return its exit code.
+
+    The command's stdout is written only once it has returned, so a reader
+    gone by then (``| head``) is not the command's error: its code stands,
+    and stdout goes to ``os.devnull`` so the interpreter's last flush passes.
+    """
+    with contextlib.redirect_stdout(io.StringIO()) as held:
+        code = _run(argv)
+    try:
+        print(held.getvalue(), end="", flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    return code
+
+
+def _terminate(signum, frame):
+    raise SystemExit(128 + signum)
+
+
 def console_main() -> None:
+    # SIGTERM's default action would skip the fork map's finally and leave
+    # its workers running; as an exception it kills and reaps them.  A
+    # forked worker inherits this and leaves through its own os._exit.
+    # numpy loads numpy.random on first use, and a bare except in its
+    # import swallows any exception, so it is loaded before the handler.
+    import numpy.random  # noqa: F401
+    signal.signal(signal.SIGTERM, _terminate)
     sys.exit(main())
 
 

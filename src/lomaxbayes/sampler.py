@@ -57,13 +57,15 @@ same bit for bit, and the betas differ by at most 12 ulp over two chains
 each at n = 50, 500 and 5000 of 11,000, 80,000 and 20,000 iterations.
 At n = 1 the gap grows as a random walk while beta << x (65 ulp after
 5,000 iterations), since each beta then passes its rounding on whole.
-As x_i/beta is never formed, it cannot overflow: ``fit`` on ``1e300,
-2e300, 3.0, 5.0``, whose posterior is proper as beta -> 0, runs with
-beta far below 1e-8, where x_i/beta would overflow for x_i = 2e300.  A chain
-raises ``DegenerateDataError`` naming its beta only where a latent u_i
-or the next beta underflows to 0.  Data with a zero observation, such
-as ``[0]*99 + [1.0]``, never get here: their posterior is improper, and
-``check_propriety`` refuses them before any chain runs.
+x_i/beta is never formed: ``fit`` on ``1e300, 2e300, 3.0, 5.0``, whose
+posterior is proper as beta -> 0, runs with beta far below 1e-8, where
+x_i/beta would overflow for x_i = 2e300.  The latents themselves overflow
+once beta + x_i falls below about 1e-308, as on data of subnormal scale.
+A chain raises ``DegenerateDataError`` naming its beta where a latent u_i
+or the next beta underflows to 0, or the next beta overflows.  Data with
+a zero observation, such as ``[0]*99 + [1.0]``, never get here: their
+posterior is improper, and ``check_propriety`` refuses them before any
+chain runs.
 
 An iteration makes six numpy calls, each the one with the least per-call
 cost among those that give the same bits:
@@ -107,7 +109,8 @@ _BLOCK = 1024
 
 
 class DegenerateDataError(ValueError):
-    """A chain cannot go on: a latent or the next beta underflowed to 0."""
+    """A chain cannot go on: a latent or the next beta underflowed to 0, or
+    the next beta overflowed."""
 
 
 @dataclass(frozen=True)
@@ -193,11 +196,15 @@ def sample_beta(u: np.ndarray, d: Dataset, g: float, beta: float) -> float:
 
     ``u`` holds the latents over the ``beta`` they were drawn with, and
     ``g`` is a unit-rate Gamma(n) variate; the draw is ``beta * sum(u_i
-    x_i) / g``.  Raises ``DegenerateDataError`` if it underflows to 0.
+    x_i) / g``.  Raises ``DegenerateDataError`` unless it is positive and
+    finite: it underflows to 0, or it overflows, as it does once a latent
+    u_i = Gamma/(beta + x_i) overflows for beta + x_i below about 1e-308.
     """
     new = beta * float(u.dot(d.x)) / g
-    if new <= 0.0:
-        raise _underflow(beta, "beta * sum(u_i x_i) / g")
+    if not 0.0 < new < math.inf:
+        if new <= 0.0:
+            raise _underflow(beta, "beta * sum(u_i x_i) / g")
+        raise DegenerateDataError(f"beta * sum(u_i x_i) / g overflowed to {new!r} at beta={beta!r}")
     return new
 
 
@@ -354,32 +361,37 @@ def _serve(fn, items: list, tasks: int, results: int, others: list[int]):
         os._exit(code)
 
 
-def _fork_map(fn, items, w: int):
-    """Yield ``fn(item)`` for each of ``items`` in item order, on up to w processes.
+def _fork_map(fn, items, most: int | None = None):
+    """Yield ``fn(item)`` for each of ``items`` in item order, on w processes.
 
-    With w > 1 and 2 or more items, the caller forks w - 1 workers (w capped
-    at the number of items) and runs item 0 itself; then, if items are left,
-    it forks one more worker and only hands out items from then on.  Items
-    go out in order, one at a time, to whichever worker is free.  A worker
-    inherits ``fn`` and ``items`` from the fork; only item indices and
-    outcomes cross its two pipes.  Results are yielded as soon as every
-    earlier item has finished.
+    This map alone decides how many processes run the items: w =
+    ``_fork_width(k)`` for k items, capped at ``most`` if given.  With w = 1
+    it is ``map``.  Otherwise the caller runs item 0 itself and hands out
+    the others by one rule: in item order, one at a time, to a free process
+    (an idle worker, else a newly forked one), while fewer than w processes
+    are busy and no item has failed; the caller counts as busy while it
+    runs item 0.  So w - 1 workers are forked before item 0, one more after
+    it if items remain, and a worker gets its next item as soon as its
+    result is read.  A worker inherits ``fn`` and ``items`` from the fork;
+    only item indices and outcomes cross its two pipes.  Results are
+    yielded as soon as every earlier item has finished.
 
     The first failed item in item order raises its exception, as a serial
-    map would, and no item after it is handed out.  A worker that ends
-    without an outcome, or whose outcome cannot be pickled, fails its item
-    with a ``RuntimeError`` that names the item.  However the map ends, by a
-    result, an error or an interrupt, every worker is killed and reaped and
-    every pipe closed.
+    map would.  A worker that ends without an outcome, or whose outcome
+    cannot be pickled, fails its item with a ``RuntimeError`` that names the
+    item.  However the map ends, by a result, an error or an interrupt,
+    every worker is killed and reaped and every pipe closed.
     """
     items = list(items)
-    w = min(w, len(items))
+    w = _fork_width(min(len(items), most or len(items)))
     if w < 2:
         yield from map(fn, items)
         return
     workers = {}  # a worker's result pipe (read end, a file) -> (its pid, its task pipe's write end)
     busy = {}  # the result pipe of a worker with an item -> the item's index
-    nxt = 1
+    outcomes = {}  # finished items not yet yielded -> (True, result) or (False, exception)
+    nxt = 1  # items below nxt are out; item 0 is the caller's
+    done = 0  # items yielded
 
     def fork_worker():
         tasks_r, tasks_w = os.pipe()
@@ -399,39 +411,35 @@ def _fork_map(fn, items, w: int):
         workers[f] = pid, tasks_w
         return f
 
-    def hand_out(f) -> None:
+    def hand_out() -> None:
+        # the rule above: of the items out, those neither yielded nor
+        # finished each keep one process busy
         nonlocal nxt
-        os.write(workers[f][1], nxt.to_bytes(8, "little"))
-        busy[f] = nxt
-        nxt += 1
+        while (nxt < len(items) and nxt - done - len(outcomes) < w
+               and all(ok for ok, _ in outcomes.values())):
+            f = next((f for f in workers if f not in busy), None) or fork_worker()
+            os.write(workers[f][1], nxt.to_bytes(8, "little"))
+            busy[f] = nxt
+            nxt += 1
 
     try:
-        for _ in range(w - 1):
-            hand_out(fork_worker())
-        outcomes = {0: _outcome(fn, items[0])}  # finished items not yet yielded
-        failed = not outcomes[0][0]
-        if not failed and nxt < len(items):
-            hand_out(fork_worker())
-        done = 0
-        while True:
-            while done in outcomes:
+        while done < len(items):
+            hand_out()
+            if done in outcomes:
                 ok, value = outcomes.pop(done)
                 if not ok:
                     raise value
                 yield value
                 done += 1
-            if done == len(items):
-                return
-            for f in select.select(list(busy), [], [])[0]:
-                i = busy.pop(f)
-                try:
-                    outcomes[i] = pickle.load(f)
-                except Exception as exc:  # EOF from a dead worker, or an outcome that cannot be rebuilt
-                    outcomes[i] = False, RuntimeError(f"item {i}: no outcome from its worker: {exc!r}")
-                # after a failure no item is handed out, so a dead worker gets none
-                failed = failed or not outcomes[i][0]
-                if not failed and nxt < len(items):
-                    hand_out(f)
+            elif done == 0:
+                outcomes[0] = _outcome(fn, items[0])
+            else:
+                for f in select.select(list(busy), [], [])[0]:
+                    i = busy.pop(f)
+                    try:
+                        outcomes[i] = pickle.load(f)
+                    except Exception as exc:  # EOF from a dead worker, or an outcome that cannot be rebuilt
+                        outcomes[i] = False, RuntimeError(f"item {i}: no outcome from its worker: {exc!r}")
     finally:
         for f, (pid, task) in workers.items():
             f.close()
@@ -443,12 +451,9 @@ def _fork_map(fn, items, w: int):
 def run_chains(d: Dataset, kind: PriorKind, cfg: McmcConfig) -> tuple[Chain, ...]:
     """Run ``cfg.chains`` independent chains and return them in chain-index order.
 
-    The chains go through ``_fork_map`` on w = ``_fork_width(chains)``
-    processes: with w > 1 the caller runs chain 0 and forked workers run the
-    others.  The chain length does not enter.  Each chain owns its
+    ``_fork_map`` decides which processes run them.  Each chain owns its
     generator, so the output is the same however the chains are spread, and
     an error is the one a serial run raises first.
     """
     check_propriety(kind, d.n, d.zeros)
-    return tuple(_fork_map(partial(run_chain, d, kind, cfg), range(cfg.chains),
-                           _fork_width(cfg.chains)))
+    return tuple(_fork_map(partial(run_chain, d, kind, cfg), range(cfg.chains)))

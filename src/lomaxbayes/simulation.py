@@ -220,25 +220,20 @@ def run_study(
 
     ``fit_fn(dataset, kind, mcmc) -> ReplicateFit`` replaces the Gibbs
     fit when given (stubs for harness tests); custom fit functions run
-    serially.  Otherwise the replicates go through ``sampler._fork_map`` on
-    w = ``sampler._fork_width(k)`` processes, for k replicates capped at
-    ``n_jobs`` if given: with w > 1 the caller fits replicate 0 and forks
-    w - 1 workers, and each process runs its replicates' chains one after
-    another; with w = 1 the caller fits every replicate, and each fit may
-    fork its chains.  Either way the results are taken in (prior, n, j)
-    order, and the first failed replicate ends the study: no replicate
-    after it is started.
+    serially.  Otherwise the replicates go through ``sampler._fork_map``,
+    on at most ``n_jobs`` processes if given.  Either way the results are
+    taken in (prior, n, j) order, and the first failed replicate ends the
+    study: no replicate after it is started.
     """
     if n_jobs is not None:
         n_jobs = _check_count("n_jobs", n_jobs)
     m = cfg.replications
     cells = [(kind, n) for kind in cfg.priors for n in cfg.sample_sizes]
     keys = [(kind, n, j) for kind, n in cells for j in range(m)]
-    w = 1 if fit_fn is not None else sampler._fork_width(min(len(keys), n_jobs or len(keys)))
     fit = partial(_fit_one, cfg, fit_fn or fit_replicate)
 
     fits: list[ReplicateFit] = []
-    results = sampler._fork_map(fit, keys, w)
+    results = map(fit, keys) if fit_fn else sampler._fork_map(fit, keys, n_jobs)
     for kind, n, j in keys:
         try:
             fits.append(next(results))

@@ -2,7 +2,10 @@
 
 import json
 import os
+import re
+import signal
 import subprocess
+import time
 import sys
 import warnings
 from pathlib import Path
@@ -10,7 +13,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import lomaxbayes
 from lomaxbayes import (
     Chain,
     DegenerateDataError,
@@ -213,6 +215,16 @@ class TestFitCommand:
         code = main(["fit", data, "--prior", "reference", "--out", str(tmp_path)] + FIT_FLAGS)
         assert code == EXIT_NUMERIC
         assert "improper posterior" in capsys.readouterr().err
+
+    def test_subnormal_data_exit_3_naming_the_overflow(self, tmp_path, capsys):
+        data = _write(tmp_path, "1e-310\n2e-310\n3e-310\n4e-310\n")
+        assert main(["fit", data, "--out", str(tmp_path / "o")]) == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        match = re.fullmatch(r"lomaxbayes: numerical error: "
+                             r"beta \* sum\(u_i x_i\) / g overflowed to inf at beta=(\S+)\n", err)
+        assert match, err
+        assert 0.0 < float(match[1]) < 1e-300
+        assert not (tmp_path / "o").exists()
 
     def test_error_in_a_forked_chain_exits_3(self, tmp_path, monkeypatch, capsys, process_pools):
         monkeypatch.setattr(sampler, "_usable_cpus", lambda: 2)
@@ -434,15 +446,13 @@ class TestRuntimeWithoutScipy:
     """The package and its CLI run on numpy and the standard library alone."""
 
     @staticmethod
-    def _python(code, cwd):
-        src = str(Path(lomaxbayes.__file__).resolve().parent.parent)
-        env = dict(os.environ, PYTHONPATH=src)
+    def _python(code, cwd, env):
         return subprocess.run(
             [sys.executable, "-B", "-c", code], cwd=cwd, env=env,
             capture_output=True, text=True, timeout=120,
         )
 
-    def test_import_loads_no_scipy(self, tmp_path):
+    def test_import_loads_no_scipy(self, tmp_path, src_env):
         # numpy.polynomial alone adds 784 KiB of peak RSS (numpy 2.4.6), 8x the
         # benchmark's 0.1 MB bound on peak_rss_mb
         data = _make_data_file(tmp_path)
@@ -458,12 +468,12 @@ class TestRuntimeWithoutScipy:
             # the fork map needs neither multiprocessing nor concurrent.futures
             "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'multiprocessing',"
             " 'concurrent') or m.startswith('numpy.polynomial')))",
-            tmp_path,
+            tmp_path, src_env,
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-1] == "[]"  # after fit's report
 
-    def test_fit_with_scipy_blocked_matches_in_process_fit(self, tmp_path):
+    def test_fit_with_scipy_blocked_matches_in_process_fit(self, tmp_path, src_env):
         data = _make_data_file(tmp_path)
         flags = ["--iters", "3000", "--burnin", "1000", "--thin", "1"]
         blocked, here = tmp_path / "blocked", tmp_path / "here"
@@ -471,7 +481,7 @@ class TestRuntimeWithoutScipy:
             "import sys; sys.modules['scipy'] = None\n"
             "from lomaxbayes import cli\n"
             f"sys.exit(cli.main({['fit', data, '--out', str(blocked)] + flags!r}))",
-            tmp_path,
+            tmp_path, src_env,
         )
         assert done.returncode == EXIT_OK, done.stderr
         assert main(["fit", data, "--out", str(here)] + flags) == EXIT_OK
@@ -583,3 +593,99 @@ class TestOutDir:
         assert f"invalid configuration: --out {out}: {afile} is not a directory" in err
         assert sorted(tmp_path.iterdir()) == before
         assert afile.read_text() == "keep\n"
+
+
+class TestConsoleProcess:
+    """``python -m lomaxbayes.cli`` as a process of its own, as a shell runs it."""
+
+    @staticmethod
+    def _argv(*args):
+        return [sys.executable, "-m", "lomaxbayes.cli", *args]
+
+    @pytest.mark.parametrize("text,flags,code", [
+        (None, [], EXIT_OK),
+        (None, ["--iters", "3000", "--burnin", "5000"], EXIT_USAGE),
+        ("1.0\nabc\n", [], EXIT_DATA),
+        ("1.0\n0\n2.0\n", [], EXIT_NUMERIC),
+    ], ids=["ok", "usage", "data", "numeric"])
+    def test_exit_codes(self, tmp_path, src_env, text, flags, code):
+        data = _make_data_file(tmp_path) if text is None else _write(tmp_path, text)
+        out = tmp_path / "out"
+        done = subprocess.run(
+            self._argv("fit", data, "--out", str(out), *FIT_FLAGS, *flags),
+            env=src_env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == code, done.stderr
+        assert (out / "summary.json").exists() == (code == EXIT_OK)
+        assert done.stderr.startswith("lomaxbayes: ") != (code == EXIT_OK), done.stderr
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_a_closed_stdout_is_not_an_error(self, tmp_path, src_env, unbuffered):
+        # 1,600 table rows, more than a pipe holds: the process is still
+        # writing them when the reader goes away after one line
+        env = {k: v for k, v in src_env.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        out = tmp_path / "sim"
+        proc = subprocess.Popen(
+            self._argv("simulate", "--sizes", *map(str, range(2, 402)), "--replications", "1",
+                       "--iters", "40", "--burnin", "10", "--thin", "1", "--chains", "1",
+                       "--quiet", "--out", str(out)),
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        try:
+            assert proc.stdout.readline().split()[0] == b"prior"
+            proc.stdout.close()
+            code = proc.wait(timeout=120)
+            err = proc.stderr.read().decode()
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            proc.stderr.close()
+        assert (code, err) == (EXIT_OK, "")
+        assert (out / "simulation.csv").exists()
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="lists processes in /proc")
+    @pytest.mark.skipif(sampler._usable_cpus() < 2, reason="one usable CPU: the chains do not fork")
+    def test_sigterm_leaves_no_worker(self, tmp_path, src_env):
+        data = _make_data_file(tmp_path, n=50)
+        # chains of minutes: the caller runs chain 0 and a forked worker chain 1
+        argv = self._argv("fit", data, "--iters", str(10**7), "--burnin", "0", "--thin", "1000",
+                          "--out", str(tmp_path / "o"))
+        proc = subprocess.Popen(argv, env=src_env, stdout=subprocess.DEVNULL,
+                                stderr=subprocess.PIPE, start_new_session=True)
+        try:
+            deadline = time.monotonic() + 60
+            while len(_session(proc.pid)) < 2:
+                assert proc.poll() is None and time.monotonic() < deadline, "no worker was forked"
+                time.sleep(0.02)
+            os.kill(proc.pid, signal.SIGTERM)
+            code = proc.wait(timeout=30)
+            deadline = time.monotonic() + 5
+            while (left := _session(proc.pid)) and time.monotonic() < deadline:
+                time.sleep(0.02)
+            assert left == []
+            assert code == 128 + signal.SIGTERM
+            assert b"Traceback" not in proc.stderr.read()
+        finally:
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            proc.wait()
+            proc.stderr.close()
+
+
+def _session(sid: int) -> list[int]:
+    """The pids of the processes in session ``sid``, from /proc."""
+    pids = []
+    for entry in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            stat = Path("/proc", entry, "stat").read_text()
+        except OSError:  # gone since
+            continue
+        # the fields after the command's ")" are state, ppid, pgrp and session
+        if int(stat.rsplit(")", 1)[1].split()[3]) == sid:
+            pids.append(int(entry))
+    return pids

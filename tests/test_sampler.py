@@ -173,6 +173,12 @@ class TestSampleBeta:
         with pytest.raises(DegenerateDataError, match=r"^beta \* sum\(u_i x_i\) / g underflowed to 0 at beta=1.5$"):
             sample_beta(np.ones(4), d, 4.0, 1.5)
 
+    @pytest.mark.parametrize("latent", [math.inf, math.nan])
+    def test_a_draw_that_is_not_finite_is_refused(self, latent):
+        d = Dataset(np.array([1e-310, 2e-310]))
+        with pytest.raises(DegenerateDataError, match=r"^beta \* sum\(u_i x_i\) / g overflowed to (inf|nan) at beta=6e-310$"):
+            sample_beta(np.array([1.0, latent]), d, 2.0, 6e-310)
+
     def test_draw_is_beta_times_the_sum_over_g(self):
         d = Dataset(np.array([0.5, 2.0, 7.0]))
         u = np.array([0.3, 1.1, 0.02])
@@ -382,6 +388,23 @@ class TestRunChain:
         (beta,) = drawn_with  # the first iteration stops the chain, naming its beta
         assert str(info.value) == f"{what} underflowed to 0 at beta={beta!r}"
 
+    def test_subnormal_data_name_the_beta_whose_latents_overflowed(self, monkeypatch):
+        # valid data, positive and finite: once beta + x_i falls below about
+        # 1e-308, a latent Gamma/(beta + x_i) overflows and the beta draw with it
+        drawn_with, orig = [], sampler.sample_lambda
+
+        def spy(alpha, beta, d, rng, out, work):
+            drawn_with.append(beta)
+            return orig(alpha, beta, d, rng, out, work)
+
+        monkeypatch.setattr(sampler, "sample_lambda", spy)
+        d = Dataset(np.array([1e-310, 2e-310, 3e-310, 4e-310]))
+        with pytest.raises(DegenerateDataError) as info:
+            run_chain(d, PriorKind.JEFFREYS_DEPENDENT, McmcConfig(80000, 20000, 20, seed=0))
+        beta = drawn_with[-1]
+        assert str(info.value) == f"beta * sum(u_i x_i) / g overflowed to inf at beta={beta!r}"
+        assert 0.0 < beta < 1e-300
+
 
 class TestRunChains:
     def test_pooled_counts_and_distinct_streams(self):
@@ -456,7 +479,12 @@ class TestRunChains:
 
 class TestForkMap:
     """Failures that the fork map itself must turn into errors, without leaving
-    a worker process or a pipe behind."""
+    a worker process or a pipe behind.  Each map forks as on 2 CPUs: run
+    serially, ``exit_on_1`` would end the test's own process."""
+
+    @pytest.fixture(autouse=True)
+    def _two_cpus(self, monkeypatch):
+        monkeypatch.setattr(sampler, "_usable_cpus", lambda: 2)
 
     def test_a_dead_worker_fails_its_item(self):
         def exit_on_1(i):
@@ -466,7 +494,7 @@ class TestForkMap:
 
         before = _open_fds()
         with _deadline(60), pytest.raises(RuntimeError, match="^item 1: no outcome from its worker"):
-            list(sampler._fork_map(exit_on_1, range(4), 2))
+            list(sampler._fork_map(exit_on_1, range(4)))
         assert _open_fds() == before
         _assert_no_child()
 
@@ -479,7 +507,7 @@ class TestForkMap:
 
         before, start = _open_fds(), time.monotonic()
         with _deadline(60), pytest.raises(error, match="item 0 failed"):
-            list(sampler._fork_map(fail_0, range(3), 2))
+            list(sampler._fork_map(fail_0, range(3)))
         assert time.monotonic() - start < 30  # the worker's sleep was cut short
         assert _open_fds() == before
         _assert_no_child()
@@ -495,7 +523,7 @@ class TestForkMap:
 
         before = _open_fds()
         with _deadline(60), pytest.raises(RuntimeError, match=r"^item 1: cannot send Local\('cannot travel'\) back"):
-            list(sampler._fork_map(fail_1, range(3), 2))
+            list(sampler._fork_map(fail_1, range(3)))
         assert _open_fds() == before
         _assert_no_child()
 
