@@ -8,8 +8,8 @@ index,x,flagged, which marks the x above their 95th percentile).
 aggregated table.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical or
-propriety error, and 143 for the ``lomaxbayes`` command stopped by
-SIGTERM.  Runs are reproducible: the same flags and seed yield
+propriety error, and 143 or 129 for the ``lomaxbayes`` command stopped
+by SIGTERM or SIGHUP.  Runs are reproducible: the same flags and seed yield
 byte-identical artifacts.
 """
 
@@ -31,7 +31,7 @@ import numpy as np
 from .distribution import Dataset, LomaxParams
 from .priors import ImproperPosteriorError, PriorKind
 from .sampler import Chain, DegenerateDataError, McmcConfig, run_chains
-from .simulation import ReplicateFit, StudyConfig, run_study, summarize_chains
+from .simulation import ReplicateFit, StudyConfig, _note, run_study, summarize_chains
 
 __all__ = ["DataFormatError", "parse_dataset", "cmd_fit", "cmd_simulate", "main"]
 
@@ -293,7 +293,7 @@ def _run(argv) -> int:
         for err in (exc, exc.__cause__):
             for types, label, code in _ERRORS:
                 if isinstance(err, types):
-                    print(f"lomaxbayes: {label}: {exc}", file=sys.stderr)
+                    _note(f"lomaxbayes: {label}: {exc}")
                     return code
         raise
 
@@ -321,13 +321,17 @@ def _terminate(signum, frame):
 
 
 def console_main() -> None:
-    # SIGTERM's default action would skip the fork map's finally and leave
-    # its workers running; as an exception it kills and reaps them.  A
-    # forked worker inherits this and leaves through its own os._exit.
-    # numpy loads numpy.random on first use, and a bare except in its
-    # import swallows any exception, so it is loaded before the handler.
+    # The default action of SIGTERM or SIGHUP (a closing terminal) would
+    # skip the fork map's finally and leave its workers running; as an
+    # exception it kills and reaps them.  A signal ignored on entry, as
+    # nohup ignores SIGHUP, stays ignored.  A forked worker inherits this
+    # and leaves through its own os._exit.  numpy loads numpy.random on
+    # first use, and a bare except in its import swallows any exception,
+    # so it is loaded before the handlers.
     import numpy.random  # noqa: F401
-    signal.signal(signal.SIGTERM, _terminate)
+    for sig in (signal.SIGTERM, signal.SIGHUP):
+        if signal.getsignal(sig) is not signal.SIG_IGN:
+            signal.signal(sig, _terminate)
     sys.exit(main())
 
 

@@ -83,7 +83,6 @@ from __future__ import annotations
 import math
 import os
 import pickle
-import select
 import signal
 import threading
 from dataclasses import dataclass
@@ -334,28 +333,28 @@ def _outcome(fn, item) -> tuple[bool, object]:
         _in_map = outer
 
 
-def _serve(fn, items: list, tasks: int, results: int, others: list[int]):
-    """A forked worker: run each item whose index arrives on the pipe ``tasks``
-    and send its pickled outcome back on ``results``, until ``tasks`` closes.
-    It first closes ``others``, the caller's pipe ends that the fork copied,
-    and it leaves only by ``os._exit``, so it never returns into the caller's code."""
+def _serve(fn, items: list, mine: range, out: int, others: list[int]):
+    """A forked worker: close ``others``, the caller's pipe ends that the fork
+    copied, then run the items numbered ``mine`` in order and send each pickled
+    outcome on the pipe ``out``, up to the first that fails.  It leaves only by
+    ``os._exit``, so it never returns into the caller's code."""
     code = 1
     try:
-        # holding no end of another worker's pipe, each worker sees its task
-        # pipe close, and ends, when the caller's process ends
+        # holding no read end, a worker whose caller has ended fails its next send
         for fd in others:
             os.close(fd)
-        with open(results, "wb") as out:
-            while index := os.read(tasks, 8):
-                i = int.from_bytes(index, "little")
+        with open(out, "wb") as f:
+            for i in mine:
                 outcome = _outcome(fn, items[i])
                 try:
                     message = pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL)
                 except Exception as exc:
                     error = RuntimeError(f"item {i}: cannot send {outcome[1]!r} back: {exc}")
                     message = pickle.dumps((False, error), pickle.HIGHEST_PROTOCOL)
-                out.write(message)
-                out.flush()
+                f.write(message)
+                f.flush()
+                if not outcome[0]:
+                    break
         code = 0
     finally:
         os._exit(code)
@@ -366,84 +365,59 @@ def _fork_map(fn, items, most: int | None = None):
 
     This map alone decides how many processes run the items: w =
     ``_fork_width(k)`` for k items, capped at ``most`` if given.  With w = 1
-    it is ``map``.  Otherwise the caller runs item 0 itself and hands out
-    the others by one rule: in item order, one at a time, to a free process
-    (an idle worker, else a newly forked one), while fewer than w processes
-    are busy and no item has failed; the caller counts as busy while it
-    runs item 0.  So w - 1 workers are forked before item 0, one more after
-    it if items remain, and a worker gets its next item as soon as its
-    result is read.  A worker inherits ``fn`` and ``items`` from the fork;
-    only item indices and outcomes cross its two pipes.  Results are
-    yielded as soon as every earlier item has finished.
+    it is ``map``.  Otherwise the caller runs item 0 itself and deals the
+    others to m = min(w, k - 1) workers as it forks them: item i >= 1 belongs
+    to worker (i - 1) mod m.  It forks w - 1 workers before item 0 and the
+    last one, if m = w, once item 0 has succeeded.  A worker inherits ``fn``
+    and ``items`` from the fork, runs its items in order, sends each outcome
+    back on its one pipe and stops after its first failed item.  The caller
+    reads the outcomes in item order and yields each result once it is read.
 
     The first failed item in item order raises its exception, as a serial
-    map would.  A worker that ends without an outcome, or whose outcome
-    cannot be pickled, fails its item with a ``RuntimeError`` that names the
-    item.  However the map ends, by a result, an error or an interrupt,
-    every worker is killed and reaped and every pipe closed.
+    map would, and kills any later items already started.  A worker that
+    ends without an outcome, or whose outcome cannot be pickled, fails its
+    item with a ``RuntimeError`` that names the item.  However the map ends,
+    by a result, an error or an interrupt, every worker is killed and reaped
+    and every pipe closed.
     """
     items = list(items)
-    w = _fork_width(min(len(items), most or len(items)))
+    k = len(items)
+    w = _fork_width(min(k, most or k))
     if w < 2:
         yield from map(fn, items)
         return
-    workers = {}  # a worker's result pipe (read end, a file) -> (its pid, its task pipe's write end)
-    busy = {}  # the result pipe of a worker with an item -> the item's index
-    outcomes = {}  # finished items not yet yielded -> (True, result) or (False, exception)
-    nxt = 1  # items below nxt are out; item 0 is the caller's
-    done = 0  # items yielded
+    m = min(w, k - 1)
+    workers = []  # (pid, its pipe's read end as a file) per worker, in fork order
 
     def fork_worker():
-        tasks_r, tasks_w = os.pipe()
-        results_r, results_w = os.pipe()
-        others = [fd for f, (_, task) in workers.items() for fd in (f.fileno(), task)]
+        read, write = os.pipe()
         try:
             pid = os.fork()
         except OSError:
-            for fd in (tasks_r, tasks_w, results_r, results_w):
-                os.close(fd)
+            os.close(read)
+            os.close(write)
             raise
         if pid == 0:
-            _serve(fn, items, tasks_r, results_w, others + [tasks_w, results_r])
-        os.close(tasks_r)
-        os.close(results_w)
-        f = open(results_r, "rb")
-        workers[f] = pid, tasks_w
-        return f
-
-    def hand_out() -> None:
-        # the rule above: of the items out, those neither yielded nor
-        # finished each keep one process busy
-        nonlocal nxt
-        while (nxt < len(items) and nxt - done - len(outcomes) < w
-               and all(ok for ok, _ in outcomes.values())):
-            f = next((f for f in workers if f not in busy), None) or fork_worker()
-            os.write(workers[f][1], nxt.to_bytes(8, "little"))
-            busy[f] = nxt
-            nxt += 1
+            _serve(fn, items, range(len(workers) + 1, k, m), write, [f.fileno() for _, f in workers] + [read])
+        os.close(write)
+        workers.append((pid, open(read, "rb")))
 
     try:
-        while done < len(items):
-            hand_out()
-            if done in outcomes:
-                ok, value = outcomes.pop(done)
-                if not ok:
-                    raise value
-                yield value
-                done += 1
-            elif done == 0:
-                outcomes[0] = _outcome(fn, items[0])
-            else:
-                for f in select.select(list(busy), [], [])[0]:
-                    i = busy.pop(f)
-                    try:
-                        outcomes[i] = pickle.load(f)
-                    except Exception as exc:  # EOF from a dead worker, or an outcome that cannot be rebuilt
-                        outcomes[i] = False, RuntimeError(f"item {i}: no outcome from its worker: {exc!r}")
+        for _ in range(w - 1):
+            fork_worker()
+        for i in range(k):
+            try:
+                ok, value = pickle.load(workers[(i - 1) % m][1]) if i else _outcome(fn, items[0])
+            except Exception as exc:  # EOF from a dead worker, or an outcome that cannot be rebuilt
+                ok, value = False, RuntimeError(f"item {i}: no outcome from its worker: {exc!r}")
+            if not ok:
+                raise value
+            if len(workers) < m:
+                fork_worker()
+            yield value
     finally:
-        for f, (pid, task) in workers.items():
+        for pid, f in workers:
             f.close()
-            os.close(task)
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
 

@@ -14,6 +14,7 @@ seeds depend on (seed, n, j) only, so all priors see the same data.
 
 from __future__ import annotations
 
+import contextlib
 import sys
 from collections.abc import Iterable
 from dataclasses import dataclass, fields, replace
@@ -200,6 +201,14 @@ def fit_replicate(d: Dataset, kind: PriorKind, mcmc: McmcConfig) -> ReplicateFit
     return summarize_chains(run_chains(d, kind, mcmc))
 
 
+def _note(line: str) -> None:
+    """Print ``line`` on stderr, or drop it if stderr is closed: a closed
+    stderr is not the command's error, as it is not argparse's."""
+    if sys.stderr is not None:  # None if fd 2 was closed when Python started
+        with contextlib.suppress(OSError):  # as when fd 2 cannot be written
+            print(line, file=sys.stderr, flush=True)
+
+
 def _fit_one(cfg: StudyConfig, fit_fn, key: tuple[PriorKind, int, int]) -> ReplicateFit:
     """Replicate j of cell (kind, n): draw its dataset and seed its chains, then fit."""
     kind, n, j = key
@@ -219,11 +228,11 @@ def run_study(
     """Run the full study and aggregate a :class:`SimReport`.
 
     ``fit_fn(dataset, kind, mcmc) -> ReplicateFit`` replaces the Gibbs
-    fit when given (stubs for harness tests); custom fit functions run
-    serially.  Otherwise the replicates go through ``sampler._fork_map``,
-    on at most ``n_jobs`` processes if given.  Either way the results are
-    taken in (prior, n, j) order, and the first failed replicate ends the
-    study: no replicate after it is started.
+    fit when given (stubs for harness tests).  The replicates go through
+    ``sampler._fork_map``: on at most ``n_jobs`` processes if given, and on
+    this one for a custom ``fit_fn``.  The results are taken in (prior, n,
+    j) order.  The first failed replicate raises at once, and the replicates
+    after it that a worker has started are killed.
     """
     if n_jobs is not None:
         n_jobs = _check_count("n_jobs", n_jobs)
@@ -233,7 +242,7 @@ def run_study(
     fit = partial(_fit_one, cfg, fit_fn or fit_replicate)
 
     fits: list[ReplicateFit] = []
-    results = map(fit, keys) if fit_fn else sampler._fork_map(fit, keys, n_jobs)
+    results = sampler._fork_map(fit, keys, 1 if fit_fn else n_jobs)
     for kind, n, j in keys:
         try:
             fits.append(next(results))
@@ -242,8 +251,7 @@ def run_study(
                 f"replicate {j} failed for prior={kind.value}, n={n}: {exc}"
             ) from exc
         if progress and (j + 1 == m or (j + 1) % 10 == 0):
-            print(f"[simulate] prior={kind.value} n={n}: replicate {j + 1}/{m}",
-                  file=sys.stderr, flush=True)
+            _note(f"[simulate] prior={kind.value} n={n}: replicate {j + 1}/{m}")
 
     rows: list[CellStats] = []
     estimates: dict[tuple, np.ndarray] = {}

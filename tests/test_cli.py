@@ -646,9 +646,56 @@ class TestConsoleProcess:
         assert (code, err) == (EXIT_OK, "")
         assert (out / "simulation.csv").exists()
 
+    @pytest.mark.parametrize("command,code", [("simulate", EXIT_OK), ("fit", EXIT_DATA)])
+    @pytest.mark.parametrize("stderr", ["closed", "unwritable"])
+    def test_a_closed_stderr_is_not_an_error(self, tmp_path, src_env, command, code, stderr):
+        # simulate's progress lines and fit's error message have nowhere to
+        # go.  The child starts with fd 2 closed, as `2>&-` leaves it, or open
+        # for reading only, as where `2>&-` runs Python through a script
+        # shim: the kernel opens the script at the lowest free fd, 2
+        def fd_2():
+            os.close(2)
+            if stderr == "unwritable":
+                os.open(os.devnull, os.O_RDONLY)  # the lowest free fd: 2
+
+        if command == "simulate":
+            args = ["simulate", "--sizes", "20", "--replications", "12", "--iters", "300",
+                    "--burnin", "100", "--thin", "1"]
+        else:
+            args = ["fit", _write(tmp_path, "1.0\nabc\n")]
+        out = tmp_path / "out"
+        done = subprocess.run(
+            self._argv(*args, "--out", str(out)), env=src_env, stdout=subprocess.PIPE,
+            text=True, timeout=120, preexec_fn=fd_2,
+        )
+        assert done.returncode == code
+        assert done.stdout.split()[:1] == (["prior"] if code == EXIT_OK else [])
+        assert (out / "simulation.csv").exists() == (code == EXIT_OK)
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+    def test_an_ignored_sighup_stays_ignored(self, tmp_path, src_env):
+        # as under nohup: the command runs on after a SIGHUP
+        data = _make_data_file(tmp_path, n=50)
+        argv = self._argv("fit", data, "--iters", str(10**7), "--burnin", "0", "--thin", "1000",
+                          "--chains", "1", "--out", str(tmp_path / "o"))
+        proc = subprocess.Popen(argv, env=src_env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+                                preexec_fn=lambda: signal.signal(signal.SIGHUP, signal.SIG_IGN))
+        try:
+            deadline = time.monotonic() + 60
+            while not _catches(proc.pid, signal.SIGTERM):  # console_main has set its handlers
+                assert proc.poll() is None and time.monotonic() < deadline, "no SIGTERM handler"
+                time.sleep(0.02)
+            os.kill(proc.pid, signal.SIGHUP)
+            with pytest.raises(subprocess.TimeoutExpired):
+                proc.wait(timeout=2)
+        finally:
+            proc.kill()
+            proc.wait()
+
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="lists processes in /proc")
     @pytest.mark.skipif(sampler._usable_cpus() < 2, reason="one usable CPU: the chains do not fork")
-    def test_sigterm_leaves_no_worker(self, tmp_path, src_env):
+    @pytest.mark.parametrize("sig", [signal.SIGTERM, signal.SIGHUP], ids=["SIGTERM", "SIGHUP"])
+    def test_sigterm_leaves_no_worker(self, tmp_path, src_env, sig):
         data = _make_data_file(tmp_path, n=50)
         # chains of minutes: the caller runs chain 0 and a forked worker chain 1
         argv = self._argv("fit", data, "--iters", str(10**7), "--burnin", "0", "--thin", "1000",
@@ -660,13 +707,13 @@ class TestConsoleProcess:
             while len(_session(proc.pid)) < 2:
                 assert proc.poll() is None and time.monotonic() < deadline, "no worker was forked"
                 time.sleep(0.02)
-            os.kill(proc.pid, signal.SIGTERM)
+            os.kill(proc.pid, sig)
             code = proc.wait(timeout=30)
             deadline = time.monotonic() + 5
             while (left := _session(proc.pid)) and time.monotonic() < deadline:
                 time.sleep(0.02)
             assert left == []
-            assert code == 128 + signal.SIGTERM
+            assert code == 128 + sig
             assert b"Traceback" not in proc.stderr.read()
         finally:
             try:
@@ -675,6 +722,13 @@ class TestConsoleProcess:
                 pass
             proc.wait()
             proc.stderr.close()
+
+
+def _catches(pid: int, sig: int) -> bool:
+    """Whether process ``pid`` has a handler for ``sig``, from /proc."""
+    status = Path("/proc", str(pid), "status").read_text()
+    caught = next(line for line in status.splitlines() if line.startswith("SigCgt:"))
+    return bool(int(caught.split()[1], 16) >> (sig - 1) & 1)
 
 
 def _session(sid: int) -> list[int]:

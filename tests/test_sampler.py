@@ -527,6 +527,57 @@ class TestForkMap:
         assert _open_fds() == before
         _assert_no_child()
 
+    def test_items_are_dealt_to_the_workers_in_turn(self):
+        before = _open_fds()
+        with _deadline(60):
+            pids = list(sampler._fork_map(lambda i: os.getpid(), range(7)))
+        assert pids[0] == os.getpid()
+        assert len({pids[1], pids[3], pids[5]}) == len({pids[2], pids[4], pids[6]}) == 1
+        assert len(set(pids)) == 3
+        assert _open_fds() == before
+        _assert_no_child()
+
+    def test_a_worker_stops_after_its_failed_item(self, tmp_path):
+        # worker 0 holds items 1 and 3; the caller's slow item 0 gives it
+        # time to start item 3, had it gone on after item 1
+        def fail_1(i):
+            (tmp_path / str(i)).touch()
+            if i == 0:
+                time.sleep(1)
+            if i == 1:
+                raise ValueError("item 1 failed")
+            return i
+
+        before = _open_fds()
+        with _deadline(60), pytest.raises(ValueError, match="item 1 failed"):
+            list(sampler._fork_map(fail_1, range(5)))
+        assert (tmp_path / "1").exists() and not (tmp_path / "3").exists()
+        assert _open_fds() == before
+        _assert_no_child()
+
+    def test_a_failed_fork_kills_the_workers_forked_before_it(self, monkeypatch):
+        forks, fork = [], os.fork
+
+        def fork_once():
+            forks.append(None)
+            if len(forks) == 2:
+                raise OSError("no second fork")
+            return fork()
+
+        def sleep_unless_0(i):
+            if i:
+                time.sleep(60)
+            return i
+
+        monkeypatch.setattr(os, "fork", fork_once)
+        before, start = _open_fds(), time.monotonic()
+        with _deadline(60), pytest.raises(OSError, match="no second fork"):
+            list(sampler._fork_map(sleep_unless_0, range(4)))
+        assert len(forks) == 2
+        assert time.monotonic() - start < 30  # the first worker's sleep was cut short
+        assert _open_fds() == before
+        _assert_no_child()
+
 
 @contextlib.contextmanager
 def _deadline(seconds):
