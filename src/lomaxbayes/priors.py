@@ -1,18 +1,14 @@
 """Objective priors for the Lomax model and the joint log posterior.
 
-Two unnormalized priors on (beta, alpha); log densities pin their constant to 0:
-
-* dependent Jeffreys:  1 / (beta (alpha+1) alpha^(1/2) (alpha+2)^(1/2))
-* reference (beta of interest, alpha nuisance):  1 / (alpha beta), also the
-  independence Jeffreys prior.  Its posterior is improper as beta -> inf at
-  every n, which ``check_propriety`` does not check.
+Each prior is one :class:`PriorKind` member, which holds all of its algebra;
+log densities pin their constant to 0.  ``check_propriety`` is the one
+propriety rule, derived from each member's ``nu``; it does not check beta ->
+inf, where the ``REFERENCE`` posterior is improper at every n.
 
 ``fisher_information`` and ``fisher_inverse`` return the information of n
 observations and its closed-form inverse as symmetric float64 (2, 2)
 arrays in (beta, alpha) order; the dependent Jeffreys density is
 proportional to the square root of the information's determinant.
-``check_propriety`` is the one propriety rule, derived from each prior's
-exponent nu in pi(alpha) ~ alpha^nu as alpha -> 0 (``_NU``).
 """
 
 from __future__ import annotations
@@ -30,7 +26,6 @@ __all__ = [
     "fisher_information",
     "fisher_inverse",
     "log_prior",
-    "log_prior_alpha",
     "log_likelihood",
     "log_posterior",
     "check_propriety",
@@ -42,10 +37,22 @@ class ImproperPosteriorError(ValueError):
 
 
 class PriorKind(enum.Enum):
-    """Selector between the two objective priors."""
+    """An objective prior pi(alpha) / beta.  ``value`` is its CLI label,
+    ``log_shape(alpha)`` is log pi(alpha) and ``nu`` the exponent in pi(alpha)
+    ~ alpha^nu as alpha -> 0.  A study seeds its chains by a member's
+    position, so a new prior is appended."""
 
-    JEFFREYS_DEPENDENT = "jeffreys"
-    REFERENCE = "reference"
+    # dependent Jeffreys: 1 / (beta (alpha+1) alpha^(1/2) (alpha+2)^(1/2))
+    JEFFREYS_DEPENDENT = (
+        "jeffreys", lambda a: -math.log(a + 1.0) - 0.5 * math.log(a) - 0.5 * math.log(a + 2.0), -0.5
+    )
+    # reference, beta of interest and alpha nuisance (also independence Jeffreys): 1 / (alpha beta)
+    REFERENCE = ("reference", lambda a: -math.log(a), -1.0)
+
+    def __new__(cls, label: str, log_shape, nu: float):
+        member = object.__new__(cls)
+        member._value_, member.log_shape, member.nu = label, log_shape, nu
+        return member
 
 
 def fisher_information(p: LomaxParams, n: int = 1) -> np.ndarray:
@@ -78,35 +85,24 @@ def _check_kind(kind) -> None:
         raise TypeError(f"prior must be a PriorKind, got {kind!r}")
 
 
-def log_prior_alpha(kind: PriorKind, a: float) -> float:
-    """The shape factor of the log prior; every prior's scale factor is -log(beta)."""
-    if kind is PriorKind.JEFFREYS_DEPENDENT:
-        return -math.log(a + 1.0) - 0.5 * math.log(a) - 0.5 * math.log(a + 2.0)
-    _check_kind(kind)  # a label such as "jeffreys" must not pass for 1/(alpha beta)
-    return -math.log(a)
-
-
-# nu, the exponent of each shape factor pi(alpha) ~ alpha^nu as alpha -> 0
-_NU = {PriorKind.JEFFREYS_DEPENDENT: -0.5, PriorKind.REFERENCE: -1.0}
-
-
 def log_prior(kind: PriorKind, p: LomaxParams) -> float:
     """Unnormalized log prior density, additive constant fixed at 0."""
-    return -math.log(p.beta) + log_prior_alpha(kind, p.alpha)
+    _check_kind(kind)
+    return -math.log(p.beta) + kind.log_shape(p.alpha)
 
 
 def check_propriety(kind: PriorKind, n: int, zeros: int = 0) -> None:
     """Raise :class:`ImproperPosteriorError` unless the posterior is proper as beta -> 0.
 
     Of the n observations, ``zeros`` are 0.  As t = log beta -> -inf the
-    posterior of t goes as e^(zeros |t|) |t|^-(n + 1 + nu), so it is proper
-    there iff zeros = 0 and n + nu > 0.  A ``kind`` that is not a
-    :class:`PriorKind` raises ``TypeError``; n and ``zeros`` are counts
+    posterior of t goes as e^(zeros |t|) |t|^-(n + 1 + nu), nu = ``kind.nu``,
+    so it is proper there iff zeros = 0 and n + nu > 0.  A ``kind`` that is
+    not a :class:`PriorKind` raises ``TypeError``; n and ``zeros`` are counts
     (integers >= 0, not bools), else ``TypeError`` or ``ValueError``.
     """
     _check_kind(kind)
     n, zeros = _check_count("n", n, least=0), _check_count("zeros", zeros, least=0)
-    need = math.floor(-_NU[kind]) + 1  # the least n with n + nu > 0
+    need = math.floor(-kind.nu) + 1  # the least n with n + nu > 0
     if zeros:
         are = "observation is" if zeros == 1 else "observations are"
         raise ImproperPosteriorError(f"improper posterior: {zeros} {are} 0, and the "

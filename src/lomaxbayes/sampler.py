@@ -91,7 +91,7 @@ from functools import partial
 import numpy as np
 
 from .distribution import Dataset, _check_count
-from .priors import PriorKind, check_propriety, log_prior_alpha
+from .priors import PriorKind, check_propriety
 
 __all__ = [
     "McmcConfig",
@@ -211,7 +211,7 @@ def _alpha_term(kind: PriorKind, a: float, n: int) -> float:
     # The part of the shape's log conditional that depends on alpha alone,
     # -n log Gamma(a) + log pi(a).  A chain carries it for its current
     # alpha and computes it only for a proposal.
-    return -n * math.lgamma(a) + log_prior_alpha(kind, a)
+    return -n * math.lgamma(a) + kind.log_shape(a)
 
 
 def _mh_step_alpha(

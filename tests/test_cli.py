@@ -505,7 +505,8 @@ class TestSimulateCommand:
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_failed_replicate_exits_1_without_traceback(self, tmp_path, monkeypatch, capsys, cpus):
-        # on 2 CPUs the error comes back from a pool worker with a remote traceback
+        # on 2 CPUs _fork_map runs replicate 0 in this process and replicate 1 in a
+        # forked worker, killed once replicate 0 fails; _run maps the error's __cause__
         monkeypatch.setattr(sampler, "_usable_cpus", lambda: cpus)
         # beta = 1e300 overflows the sampled data to inf, which Dataset rejects
         flags = ["--beta", "1e300", "--alpha", "0.1", "--sizes", "50", "--replications", "2",

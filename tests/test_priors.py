@@ -28,7 +28,16 @@ GRID = [LomaxParams(beta=b, alpha=a) for b in (0.2, 1.0, 5.0) for a in (0.2, 1.0
 
 class TestPriorKind:
     def test_two_kinds_with_cli_labels(self):
-        assert {k.value for k in PriorKind} == {"jeffreys", "reference"}
+        # ordered: a study seeds each cell's chains by the prior's position
+        assert [k.value for k in PriorKind] == ["jeffreys", "reference"]
+
+    @pytest.mark.parametrize("kind", list(PriorKind), ids=lambda k: k.value)
+    def test_record_fields_agree(self, kind):
+        # nu is the slope of log pi(alpha) in log alpha as alpha -> 0
+        lo, hi = 1e-12, 1e-10
+        slope = (kind.log_shape(hi) - kind.log_shape(lo)) / (math.log(hi) - math.log(lo))
+        assert slope == pytest.approx(kind.nu, abs=1e-6)
+        assert PriorKind(kind.value) is kind
 
     @pytest.mark.parametrize("call", [
         lambda kind: run_chains(Dataset([1.0, 2.0]), kind, McmcConfig(iterations=4, burn_in=0, thin=1)),
@@ -38,7 +47,7 @@ class TestPriorKind:
         lambda kind: StudyConfig(LomaxParams(2.0, 1.5), priors=(kind,)),
     ], ids=["run_chains", "run_chain", "log_prior", "log_posterior", "StudyConfig"])
     def test_label_is_not_taken_for_a_prior(self, call):
-        # the fall-through of log_prior_alpha once ran 1/(alpha beta) for "jeffreys"
+        # a fall-through branch on the kind once ran 1/(alpha beta) for "jeffreys"
         with pytest.raises(TypeError, match="prior must be a PriorKind, got 'jeffreys'"):
             call("jeffreys")
 

@@ -24,7 +24,7 @@ from lomaxbayes import (
     sample,
 )
 from lomaxbayes import sampler
-from lomaxbayes.priors import log_posterior, log_prior_alpha
+from lomaxbayes.priors import log_posterior
 from lomaxbayes.sampler import (
     _alpha_term,
     _mh_step_alpha,
@@ -209,7 +209,7 @@ class TestAlphaConditional:
         lam = np.array([0.3, 1.7, 4.0, 0.05])
 
         def oracle(a):
-            return gamma_dist.logpdf(lam, a).sum() + log_prior_alpha(kind, a)
+            return gamma_dist.logpdf(lam, a).sum() + kind.log_shape(a)
 
         got = _shape_log_density(kind, a2, lam) - _shape_log_density(kind, a1, lam)
         assert got == pytest.approx(oracle(a2) - oracle(a1), rel=1e-12)
@@ -637,7 +637,7 @@ def _allocating_chain(d, kind, cfg, chain_index=0, lambda_form=False):
     block = 1024
 
     def log_conditional(a, sum_log_lam):
-        return -d.n * math.lgamma(a) + (a - 1.0) * sum_log_lam + log_prior_alpha(kind, a)
+        return -d.n * math.lgamma(a) + (a - 1.0) * sum_log_lam + kind.log_shape(a)
 
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(cfg.chains)[chain_index])
     alpha = float(rng.gamma(1.0))
